@@ -299,31 +299,6 @@ def edge_graph_char_poly(m: PolyhedralMap) -> IntPolynomial:
     return charpoly(adjacency_matrix(m))
 
 
-def exact_determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Integer determinant by fraction-free Bareiss elimination."""
-    A = [[int(x) for x in row] for row in matrix]
-    n = len(A)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for r in range(k + 1, n):
-                if A[r][k] != 0:
-                    A[k], A[r] = A[r], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
-
-
 # -- homological systole ------------------------------------------------------
 
 

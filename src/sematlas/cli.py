@@ -31,14 +31,7 @@ from .classify import (
     homological_systole,
     is_vertex_transitive,
 )
-from .enumeration import (
-    ALL_FLAT_TYPES,
-    BudgetExceeded,
-    ReportRow,
-    enumerate_sems,
-    gate_reason,
-    min_vertices_gate,
-)
+from .enumeration import ALL_FLAT_TYPES, BudgetExceeded, classify_all, enumerate_sems
 from . import constructions as cons
 from .export import SvgUnsupported, to_dot, to_svg
 
@@ -134,6 +127,11 @@ def cmd_iso(args) -> int:
     return 0
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _parse_types(text: str):
     if text == "all":
         return list(ALL_FLAT_TYPES)
@@ -141,14 +139,17 @@ def _parse_types(text: str):
 
 
 def cmd_enumerate(args) -> int:
-    t = FaceSeqType.parse(args.type)
+    try:
+        t = FaceSeqType.parse(args.type)
+    except ValueError as exc:
+        return _usage_error(f"--type {args.type!r}: {exc}")
+    if args.n < 3:
+        return _usage_error("--n must be at least 3")
     maps = enumerate_sems(t, args.n)
     print(f"{len(maps)} map(s) of type {t} on {args.n} vertices")
     if args.out:
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for name, m in zip(_cell_names(t, args.n, maps), maps):
-            semmap.save(m, outdir / f"{name}.map", comment=name)
+        for name in _save_cell(outdir, t, args.n, maps):
             print(f"  wrote {outdir / (name + '.map')}")
     return 0
 
@@ -167,47 +168,29 @@ def _cell_names(t, n, maps):
     return names
 
 
-def _classify_cell(job):
-    t, n = job
-    maps = enumerate_sems(t, n)
-    return t, n, maps
+def _save_cell(outdir: Path, t, n, maps) -> list[str]:
+    """Save one cell's maps into ``outdir`` under their names; return the names."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    names = _cell_names(t, n, maps)
+    for name, m in zip(names, maps):
+        semmap.save(m, outdir / f"{name}.map", comment=name)
+    return names
 
 
 def cmd_classify(args) -> int:
     if args.max_vertices < 3:
-        print("error: --max-vertices must be at least 3", file=sys.stderr)
-        return 2
-    types = _parse_types(args.types)
-    rows: list[ReportRow] = []
-    jobs = []
-    for t in types:
-        ns = min_vertices_gate(t, args.max_vertices)
-        if not ns:
-            rows.append(ReportRow(t, 0, 0, 0, 0,
-                                  infeasible_reason=gate_reason(t, args.max_vertices)))
-        else:
-            jobs.extend((t, n) for n in ns)
-    if args.jobs > 1 and jobs:
-        import multiprocessing as mp
-        with mp.Pool(args.jobs) as pool:
-            results = pool.map(_classify_cell, jobs)
-    else:
-        results = [_classify_cell(job) for job in jobs]
-    for t, n, maps in results:
-        orient = sum(1 for m in maps if is_orientable(m))
-        rows.append(ReportRow(t, n, len(maps), orient, len(maps) - orient, maps=maps))
-    rows.sort(key=lambda r: (r.type.sizes, r.n))
-
+        return _usage_error("--max-vertices must be at least 3")
+    if args.jobs < 1:
+        return _usage_error("--jobs must be at least 1")
+    try:
+        types = _parse_types(args.types)
+    except ValueError as exc:
+        return _usage_error(f"--types {args.types!r}: {exc}")
+    rows = classify_all(args.max_vertices, types, jobs=args.jobs)
     written = {}
     if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for row in rows:
-            names = _cell_names(row.type, row.n, row.maps)
-            for name, m in zip(names, row.maps):
-                semmap.save(m, outdir / f"{name}.map", comment=name)
-            written[(row.type, row.n)] = names
-
+        written = {(r.type, r.n): _save_cell(Path(args.out), r.type, r.n, r.maps)
+                   for r in rows}
     print(_format_report(rows, args.format, written))
     return 0
 
@@ -292,9 +275,8 @@ def cmd_derive(args) -> int:
     for op_name in args.ops.split(","):
         op = DERIVE_OPS.get(op_name.strip())
         if op is None:
-            print(f"error: unknown op {op_name!r}; known: "
-                  + ", ".join(sorted(DERIVE_OPS)), file=sys.stderr)
-            return 2
+            return _usage_error(f"unknown op {op_name!r}; known: "
+                                + ", ".join(sorted(DERIVE_OPS)))
         m = op(m)
     return _emit(m, args)
 

@@ -48,7 +48,8 @@ class Disconnected(InvalidMapError):
 
 
 def canonical_face(face: Sequence[int]) -> tuple[int, ...]:
-    """Least rotation of the face over both traversal directions."""
+    """Least rotation of a cyclic sequence over both traversal directions:
+    the normal form of a face and of a face-sequence type."""
     best = None
     for seq in (tuple(face), tuple(reversed(face))):
         for i in range(len(seq)):
@@ -84,7 +85,7 @@ class FaceSeqType:
             raise ValueError(f"face-sequence needs length >= 3, got {sizes}")
         if any(s < 3 for s in sizes):
             raise ValueError(f"face sizes must be >= 3, got {sizes}")
-        object.__setattr__(self, "sizes", _normalize_cyclic(sizes))
+        object.__setattr__(self, "sizes", canonical_face(sizes))
 
     @classmethod
     def parse(cls, text: str) -> "FaceSeqType":
@@ -106,21 +107,11 @@ class FaceSeqType:
         return len(self.sizes)
 
 
-def _normalize_cyclic(seq: tuple[int, ...]) -> tuple[int, ...]:
-    best = None
-    for s in (seq, tuple(reversed(seq))):
-        for i in range(len(s)):
-            rot = s[i:] + s[:i]
-            if best is None or rot < best:
-                best = rot
-    return best
-
-
 def cyclic_equal(a: Sequence[int], b: Sequence[int]) -> bool:
     """Equality of cyclic sequences up to rotation and reflection."""
     if len(a) != len(b):
         return False
-    return _normalize_cyclic(tuple(a)) == _normalize_cyclic(tuple(b))
+    return canonical_face(a) == canonical_face(b)
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,21 @@ requested type and vertex count exactly once up to isomorphism.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .core import FaceSeqType, PolyhedralMap, cyclic_equal, edge_key, is_semi_equivelar
+from .core import (
+    FaceSeqType,
+    PolyhedralMap,
+    cyclic_equal,
+    edge_key,
+    euler_characteristic,
+    is_orientable,
+    is_semi_equivelar,
+)
 from .classify import canonical_form
 
 BUDGET_ENV = "SEM_ATLAS_BUDGET"
@@ -45,6 +54,10 @@ EQUIVELAR_TYPES = (
 
 class BudgetExceeded(RuntimeError):
     """Search node budget ran out before the cell was exhausted."""
+
+
+class SearchInvariantError(RuntimeError):
+    """A check on the search or its results failed: a defect, not bad input."""
 
 
 @dataclass(frozen=True)
@@ -109,22 +122,9 @@ def gate_reason(t: FaceSeqType, n_max: int) -> str:
     if lo > n_max:
         return (f"the closed star of one vertex already needs {lo} vertices, "
                 f"more than {n_max}")
-    divisors = [p // _gcd(p, t.multiplicity(p)) for p in set(t.sizes)]
+    divisors = [p // math.gcd(p, t.multiplicity(p)) for p in set(t.sizes)]
     return (f"no n in {lo}..{n_max} gives integral face counts "
-            f"(n must be a multiple of {_lcm_all(divisors)} and >= {lo})")
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _lcm_all(xs: Iterable[int]) -> int:
-    out = 1
-    for x in xs:
-        out = out * x // _gcd(out, x)
-    return out
+            f"(n must be a multiple of {math.lcm(*divisors)} and >= {lo})")
 
 
 # -- the backtracking search --------------------------------------------------
@@ -452,9 +452,10 @@ class _Searcher:
             link0.append(nxt)
         for f in faces:
             self.budgets[len(f)] -= 1
-            assert self.budgets[len(f)] >= 0, "star exceeds face budget"
-            undo = self._try_face(f)
-            assert undo is not None, "canonical star must glue cleanly"
+            if self.budgets[len(f)] < 0:
+                raise SearchInvariantError("star exceeds face budget")
+            if self._try_face(f) is None:
+                raise SearchInvariantError("canonical star must glue cleanly")
 
     def _recurse(self) -> None:
         self.nodes += 1
@@ -487,8 +488,9 @@ class _Searcher:
             return
         m = PolyhedralMap(self.n, list(self.faces))
         got = is_semi_equivelar(m)
-        assert got == FaceSeqType(self.t), (
-            f"search emitted a map of type {got}, wanted {FaceSeqType(self.t)}")
+        if got != FaceSeqType(self.t):
+            raise SearchInvariantError(
+                f"search emitted a map of type {got}, wanted {FaceSeqType(self.t)}")
         form = canonical_form(m).form
         if form not in self.seen_forms:
             self.seen_forms.add(form)
@@ -535,24 +537,37 @@ class ReportRow:
 
 
 def classify_all(n_max: int, types: Optional[Sequence[FaceSeqType]] = None,
-                 budget: Optional[int] = None) -> list[ReportRow]:
-    """Classification table over the given types for all feasible n <= n_max."""
-    from .core import is_orientable, euler_characteristic  # local: avoid cycle
+                 jobs: int = 1) -> list[ReportRow]:
+    """Classification table over the given types for all feasible n <= n_max.
 
+    A type the gate rejects for every n gets one row with the reason.  Rows
+    come sorted by (type, n).  ``jobs > 1`` searches the cells in that many
+    processes; the rows are the same either way.
+    """
     rows: list[ReportRow] = []
+    cells: list[tuple[FaceSeqType, int]] = []
     for t in (types if types is not None else ALL_FLAT_TYPES):
         ns = min_vertices_gate(t, n_max)
         if not ns:
             rows.append(ReportRow(t, 0, 0, 0, 0,
                                   infeasible_reason=gate_reason(t, n_max)))
-            continue
-        for n in ns:
-            maps = enumerate_sems(t, n, budget=budget)
-            orient = sum(1 for m in maps if is_orientable(m))
-            for m in maps:
-                assert euler_characteristic(m) == 0, (
+        cells.extend((t, n) for n in ns)
+    if jobs > 1 and cells:
+        import multiprocessing  # here, not at the top: the import costs start-up time
+
+        with multiprocessing.Pool(jobs) as pool:
+            results = pool.starmap(enumerate_sems, cells)
+    else:
+        results = [enumerate_sems(t, n) for t, n in cells]
+    for (t, n), maps in zip(cells, results):
+        for m in maps:
+            chi = euler_characteristic(m)
+            if chi != 0:
+                raise SearchInvariantError(
                     f"enumerated map of type {t} on {n} vertices has "
-                    f"chi = {euler_characteristic(m)}; closed flat types force 0")
-            rows.append(ReportRow(t, n, len(maps), orient, len(maps) - orient,
-                                  maps=maps))
+                    f"chi = {chi}; closed flat types force 0")
+        orient = sum(1 for m in maps if is_orientable(m))
+        rows.append(ReportRow(t, n, len(maps), orient, len(maps) - orient,
+                              maps=maps))
+    rows.sort(key=lambda r: (r.type.sizes, r.n))
     return rows

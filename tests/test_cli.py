@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from sematlas import semmap
+from sematlas import enumeration, semmap
 from sematlas.cli import main
+from sematlas.enumeration import SearchInvariantError
 from sematlas.atlas import _data_root
 
 
@@ -202,6 +203,28 @@ def test_iso_pin(capsys):
 def test_classify_usage_error(capsys):
     code, _, err = run(capsys, "classify", "--max-vertices", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--type", "3,x", "--n", "10"],
+    ["enumerate", "--type", "3,3", "--n", "10"],
+    ["enumerate", "--type", "3,3,3,4,4", "--n", "-4"],
+    ["classify", "--max-vertices", "10", "--types", "3,x"],
+    ["classify", "--max-vertices", "10", "--types", "3,3"],
+    ["classify", "--max-vertices", "10", "--jobs", "0"],
+    ["classify", "--max-vertices", "10", "--jobs", "-3"],
+])
+def test_usage_errors_exit_2_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err and out == ""
+
+
+def test_classify_checks_euler_characteristic(monkeypatch):
+    monkeypatch.setattr(enumeration, "euler_characteristic", lambda m: 1)
+    with pytest.raises(SearchInvariantError):
+        main(["classify", "--max-vertices", "10", "--types", "3,3,3,4,4"])
 
 
 def test_export_svg_matches_golden(tmp_path, capsys):

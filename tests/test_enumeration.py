@@ -1,10 +1,13 @@
 import pytest
 
+from sematlas import enumeration
 from sematlas.classify import canonical_form, find_isomorphism
 from sematlas.core import FaceSeqType, euler_characteristic, is_orientable, is_semi_equivelar
 from sematlas.enumeration import (
     BudgetExceeded,
     Infeasible,
+    SearchInvariantError,
+    classify_all,
     enumerate_sems,
     face_counts,
     gate_reason,
@@ -87,6 +90,12 @@ class TestSearch:
         with pytest.raises(BudgetExceeded):
             enumerate_sems(T334, 12, budget=5)
 
+    def test_emitted_type_check_is_not_an_assert(self, monkeypatch):
+        # a typed error survives ``python -O``, which strips asserts
+        monkeypatch.setattr(enumeration, "is_semi_equivelar", lambda m: None)
+        with pytest.raises(SearchInvariantError):
+            enumerate_sems(T334, 10)
+
     def test_one_kagome_square_map(self):
         maps = enumerate_sems(FaceSeqType((3, 3, 4, 3, 4)), 12)
         assert len(maps) == 1
@@ -118,8 +127,6 @@ class TestPruneSoundness:
 
 class TestClassifyAll:
     def test_table_rows(self):
-        from sematlas.enumeration import classify_all
-
         rows = classify_all(15, [T334, FaceSeqType((3, 12, 12))])
         feasible = [r for r in rows if not r.infeasible_reason]
         gated = [r for r in rows if r.infeasible_reason]
@@ -129,3 +136,8 @@ class TestClassifyAll:
         for r in feasible:
             assert r.total == r.orientable + r.non_orientable
             assert len(r.maps) == r.total
+
+    def test_rows_sorted_by_type_then_n(self):
+        rows = classify_all(12, [FaceSeqType((3, 12, 12)), T334])
+        assert [(r.type, r.n) for r in rows] == [
+            (T334, 8), (T334, 10), (T334, 12), (FaceSeqType((3, 12, 12)), 0)]
