@@ -1,15 +1,16 @@
 """Isomorphism certificates, canonical forms and distinguishing invariants.
 
 Isomorphism search works on flags: mutually incident (vertex, edge, face)
-triples.  Fixing a flag correspondence forces the rest of the bijection by
-deterministic propagation, so testing maps for isomorphism costs one
-propagation per candidate start flag.  Orientation-reversing
-correspondences arise automatically because all flags on both sides of an
-edge are tried.
+triples, read from each map's integer ``FlagTable``.  Fixing a flag
+correspondence forces the rest of the bijection by deterministic
+propagation, so testing maps for isomorphism costs one propagation per
+candidate start flag.  Orientation-reversing correspondences arise
+automatically because all flags on both sides of an edge are tried.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -44,61 +45,29 @@ class NotFlat(ValueError):
     """Raised where an operation requires Euler characteristic 0."""
 
 
-# -- flags ------------------------------------------------------------------
-#
-# A flag is (v, u, f): vertex v, the directed edge v->u, and the index f of
-# one of the two faces containing {u, v}.  The three involutions move to the
-# adjacent flag differing in exactly one component.
-
-
-def _flags(m: PolyhedralMap) -> list[tuple[int, int, int]]:
-    out = []
-    for (u, v) in m.edges:
-        fa, fb = m.edge_faces(u, v)
-        out.extend([(u, v, fa), (u, v, fb), (v, u, fa), (v, u, fb)])
-    return out
-
-
-def _s0(m: PolyhedralMap, fl: tuple[int, int, int]) -> tuple[int, int, int]:
-    v, u, f = fl
-    return (u, v, f)
-
-
-def _s1(m: PolyhedralMap, fl: tuple[int, int, int]) -> tuple[int, int, int]:
-    v, u, f = fl
-    face = m.faces[f]
-    i = face.index(v)
-    a, b = face[i - 1], face[(i + 1) % len(face)]
-    return (v, b if u == a else a, f)
-
-
-def _s2(m: PolyhedralMap, fl: tuple[int, int, int]) -> tuple[int, int, int]:
-    v, u, f = fl
-    fa, fb = m.edge_faces(v, u)
-    return (v, u, fb if f == fa else fa)
-
-
 def _propagate(a: PolyhedralMap, b: PolyhedralMap,
-               start_a: tuple[int, int, int],
-               start_b: tuple[int, int, int]) -> Optional[list[int]]:
+               start_a: int, start_b: int) -> Optional[list[int]]:
     """Force a vertex bijection from one flag correspondence, or None."""
+    s1a, vert_a, face_a, _ = a.flags
+    s1b, vert_b, face_b, _ = b.flags
     va = [-1] * a.n_vertices
     vb = [-1] * b.n_vertices
-    seen = {start_a: start_b}
+    seen = [-1] * len(s1a)
+    seen[start_a] = start_b
     stack = [(start_a, start_b)]
     while stack:
         fa, fb = stack.pop()
-        if va[fa[0]] == -1 and vb[fb[0]] == -1:
-            va[fa[0]] = fb[0]
-            vb[fb[0]] = fa[0]
-        elif va[fa[0]] != fb[0] or vb[fb[0]] != fa[0]:
+        x, y = vert_a[fa], vert_b[fb]
+        if va[x] == -1 and vb[y] == -1:
+            va[x] = y
+            vb[y] = x
+        elif va[x] != y or vb[y] != x:
             return None
-        if len(a.faces[fa[2]]) != len(b.faces[fb[2]]):
+        if len(a.faces[face_a[fa]]) != len(b.faces[face_b[fb]]):
             return None
-        for op in (_s0, _s1, _s2):
-            na, nb = op(a, fa), op(b, fb)
-            prev = seen.get(na)
-            if prev is None:
+        for na, nb in ((fa ^ 2, fb ^ 2), (s1a[fa], s1b[fb]), (fa ^ 1, fb ^ 1)):
+            prev = seen[na]
+            if prev == -1:
                 seen[na] = nb
                 stack.append((na, nb))
             elif prev != nb:
@@ -119,32 +88,33 @@ def find_isomorphism(a: PolyhedralMap, b: PolyhedralMap,
                      pin: Optional[tuple[int, int]] = None) -> Optional[Isomorphism]:
     """A certified vertex bijection a -> b, or None.
 
-    With ``pin=(u, v)`` only bijections sending u to v are considered.
-    Every returned mapping is re-verified against the full face sets.
+    With ``pin=(u, v)`` only bijections sending u to v are considered;
+    a pin naming a vertex outside its map raises ``ValueError``.  Every
+    returned mapping is re-verified against the full face sets.
     """
+    if pin is not None:
+        u, v = pin
+        if not (0 <= u < a.n_vertices and 0 <= v < b.n_vertices):
+            raise ValueError(f"pin ({u}, {v}) is out of range: the maps have "
+                             f"{a.n_vertices} and {b.n_vertices} vertices")
     if (a.n_vertices != b.n_vertices or a.n_edges != b.n_edges
             or a.n_faces != b.n_faces):
         return None
     if sorted(map(len, a.faces)) != sorted(map(len, b.faces)):
         return None
     if pin is None:
-        start_a = _least_flag(a, 0)
-        candidates = _flags(b)
+        u, candidates = 0, range(len(b.flags.s1))
     else:
-        u, v = pin
-        start_a = _least_flag(a, u)
-        candidates = [fl for fl in _flags(b) if fl[0] == v]
+        vert_b = b.flags.vertex
+        candidates = [x for x in range(len(vert_b)) if vert_b[x] == v]
+    # the side-0 flag at u on the edge to its least neighbour
+    w = a.adjacency[u][0]
+    start_a = 4 * bisect_left(a.edges, edge_key(u, w)) + 2 * (u > w)
     for fb in candidates:
         mapping = _propagate(a, b, start_a, fb)
         if mapping is not None and _certifies(a, b, mapping):
             return Isomorphism(tuple(mapping))
     return None
-
-
-def _least_flag(m: PolyhedralMap, v: int) -> tuple[int, int, int]:
-    u = m.adjacency[v][0]
-    fa, fb = m.edge_faces(v, u)
-    return (v, u, min(fa, fb))
 
 
 def canonical_form(m: PolyhedralMap) -> CanonicalForm:
@@ -156,7 +126,7 @@ def canonical_form(m: PolyhedralMap) -> CanonicalForm:
     """
     best: Optional[bytes] = None
     best_perm: Optional[tuple[int, ...]] = None
-    for start in _flags(m):
+    for start in range(len(m.flags.s1)):
         perm = _traversal_labels(m, start)
         faces = sorted(canonical_face(tuple(perm[v] for v in f)) for f in m.faces)
         blob = b"\n".join(
@@ -167,24 +137,22 @@ def canonical_form(m: PolyhedralMap) -> CanonicalForm:
     return CanonicalForm(best, best_perm)
 
 
-def _traversal_labels(m: PolyhedralMap, start: tuple[int, int, int]) -> tuple[int, ...]:
+def _traversal_labels(m: PolyhedralMap, start: int) -> tuple[int, ...]:
     """Vertex labels in first-visit order of the flag BFS from ``start``."""
+    s1, vertex, _, _ = m.flags
     label = [-1] * m.n_vertices
     nxt = 0
-    seen = {start}
+    seen = bytearray(len(s1))
+    seen[start] = 1
     queue = [start]
-    qi = 0
-    while qi < len(queue):
-        fl = queue[qi]
-        qi += 1
-        if label[fl[0]] == -1:
-            label[fl[0]] = nxt
+    for x in queue:  # the queue grows while it is read
+        if label[vertex[x]] == -1:
+            label[vertex[x]] = nxt
             nxt += 1
-        for op in (_s0, _s1, _s2):
-            nf = op(m, fl)
-            if nf not in seen:
-                seen.add(nf)
-                queue.append(nf)
+        for y in (x ^ 2, s1[x], x ^ 1):
+            if not seen[y]:
+                seen[y] = 1
+                queue.append(y)
     return tuple(label)
 
 
@@ -380,5 +348,6 @@ def homological_systole(m: PolyhedralMap) -> int:
                 continue
             if _gf2_reduce(vec, basis) != 0:
                 best = length
-    assert best is not None, "flat map must carry a homologically nontrivial cycle"
+    if best is None:
+        raise RuntimeError("flat map must carry a homologically nontrivial cycle")
     return best

@@ -119,7 +119,10 @@ def cmd_invariants(args) -> int:
 def cmd_iso(args) -> int:
     a, b = _load(args.map_a), _load(args.map_b)
     pin = tuple(args.pin) if args.pin else None
-    iso = find_isomorphism(a, b, pin=pin)
+    try:
+        iso = find_isomorphism(a, b, pin=pin)
+    except ValueError as exc:
+        return _usage_error(f"--pin: {exc}")
     if iso is None:
         print("not isomorphic")
         return 1
@@ -186,6 +189,8 @@ def cmd_classify(args) -> int:
         types = _parse_types(args.types)
     except ValueError as exc:
         return _usage_error(f"--types {args.types!r}: {exc}")
+    if not types:
+        return _usage_error(f"--types {args.types!r} names no type")
     rows = classify_all(args.max_vertices, types, jobs=args.jobs)
     written = {}
     if args.out:

@@ -101,7 +101,7 @@ def equivelar_series(params: SeriesParams) -> PolyhedralMap:
             return builder(n, twist)
         builder = {"3^6": _klein_36, "4^4": _klein_44, "6^3": _klein_63}[fam]
         return builder(n)
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         if isinstance(exc, ParamOutOfRange):
             raise
         raise ParamOutOfRange(
@@ -473,7 +473,8 @@ def subdivide_to_3636(m: PolyhedralMap) -> PolyhedralMap:
             c1l, c2l, c2r, c1r = f[0], f[1], f[2], f[3]
         else:
             c1l, c2l, c2r, c1r = f[1], f[2], f[3], f[0]
-        assert carrier(c1l, c2l) and carrier(c1r, c2r)
+        if not (carrier(c1l, c2l) and carrier(c1r, c2r)):
+            raise NotGridMap(f"quad {f} has no pair of opposite carrier edges")
         oriented.append((c1l, c2l, c2r, c1r))
 
     fresh = iter(range(10 ** 9))
@@ -598,7 +599,8 @@ def build_3464_from_312sq(m: PolyhedralMap) -> PolyhedralMap:
         # rotate so that (w[0], w[1]) is a triangle edge
         if edge_key(w[0], w[1]) not in tri_edges:
             w = w[1:] + w[:1]
-        assert edge_key(w[0], w[1]) in tri_edges
+        if edge_key(w[0], w[1]) not in tri_edges:
+            raise NotTruncation(f"12-gon {w} has no triangle edge at its start")
         aligned.append(w)
         for i in range(12):
             ring[(wi, i)] = next(fresh)

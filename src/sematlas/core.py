@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 
 class InvalidMapError(ValueError):
@@ -133,6 +133,26 @@ class SurfaceId:
         return cls(chi, orientable, name)
 
 
+class FlagTable(NamedTuple):
+    """The map's flags and their involutions (the gem of Lins, "Graph-encoded
+    maps", JCTB 32, 1982).
+
+    A flag is a mutually incident (vertex, edge, face) triple.  Flag
+    ``4*e + 2*d + s`` lies on edge ``edges[e]``, at its endpoint ``d`` (0 is
+    the smaller label), in face ``edge_faces(*edges[e])[s]``.  So s0 (other
+    vertex, same edge and face) is ``x ^ 2`` and s2 (other face, same vertex
+    and edge) is ``x ^ 1``; only s1 (other edge, same vertex and face) is
+    stored.  ``vertex`` and ``face`` give each flag's vertex and face index,
+    and ``start[v]`` is v's flag in its first face on the edge from the
+    vertex before v in that face's cycle.
+    """
+
+    s1: tuple[int, ...]
+    vertex: tuple[int, ...]
+    face: tuple[int, ...]
+    start: tuple[int, ...]
+
+
 class PolyhedralMap:
     """An immutable validated polyhedral map.
 
@@ -158,19 +178,23 @@ class PolyhedralMap:
         if n <= 0 or not self.faces:
             raise Disconnected("empty map: no vertices or no faces")
 
-        seen = [False] * n
+        seen: set[int] = set()
         for fi, face in enumerate(self.faces):
             if len(face) < 3:
                 raise FaceTooSmall(f"face {fi} {face} has fewer than 3 vertices")
             for v in face:
                 if not 0 <= v < n:
                     raise BadLabel(f"face {fi} uses label {v} outside 0..{n - 1}")
-                seen[v] = True
+            seen.update(face)
             if len(set(face)) != len(face):
                 raise RepeatedVertexInFace(f"face {fi} {face} repeats a vertex")
-        for v, ok in enumerate(seen):
-            if not ok:
-                raise BadLabel(f"vertex {v} occurs in no face")
+        # count up through the labels seen, so nothing is sized by n before
+        # the faces bound it
+        unused = 0
+        while unused in seen:
+            unused += 1
+        if unused < n:
+            raise BadLabel(f"vertex {unused} occurs in no face")
 
         vertex_faces: list[list[int]] = [[] for _ in range(n)]
         for fi, face in enumerate(self.faces):
@@ -213,8 +237,14 @@ class PolyhedralMap:
                     f"edge {e} lies in {len(fs)} face(s) {fs}, expected 2")
         self._edge_faces = edge_faces
 
+        self.flags = self._flag_table()
         for v in range(n):
-            self._fan(v)  # raises LinkNotSingleCycle on failure
+            if len(vertex_faces[v]) < 3:
+                raise LinkNotSingleCycle(
+                    f"vertex {v} lies in only {len(vertex_faces[v])} face(s)")
+            if len(self._rotation(v)) != len(vertex_faces[v]):
+                raise LinkNotSingleCycle(
+                    f"faces at vertex {v} split into more than one fan")
 
         # connectivity over the 1-skeleton
         reached = {0}
@@ -230,46 +260,46 @@ class PolyhedralMap:
             missing = min(set(range(n)) - reached)
             raise Disconnected(f"vertex {missing} unreachable from vertex 0")
 
-    def _fan(self, v: int) -> list[int]:
-        """Faces around v in fan order; validates the single-closed-fan rule."""
-        incident = self._vertex_faces[v]
-        if len(incident) < 3:
-            raise LinkNotSingleCycle(
-                f"vertex {v} lies in only {len(incident)} face(s)")
-        # each face containing v covers the corner between two edges at v
-        corner: dict[int, tuple[int, int]] = {}
-        edge_to_faces: dict[int, list[int]] = {}
-        for fi in incident:
-            face = self.faces[fi]
-            i = face.index(v)
-            a, b = face[i - 1], face[(i + 1) % len(face)]
-            corner[fi] = (a, b)
-            edge_to_faces.setdefault(a, []).append(fi)
-            edge_to_faces.setdefault(b, []).append(fi)
-        for u, fs in edge_to_faces.items():
-            if len(fs) != 2:
-                raise LinkNotSingleCycle(
-                    f"edge ({v},{u}) borders {len(fs)} face(s) at vertex {v}")
-        start = incident[0]
-        fan = [start]
-        prev_edge = corner[start][0]
-        cur = start
-        while True:
-            a, b = corner[cur]
-            nxt_edge = b if prev_edge == a else a
-            f1, f2 = edge_to_faces[nxt_edge]
-            nxt = f2 if f1 == cur else f1
-            if nxt == start:
-                break
-            if len(fan) > len(incident):
-                raise LinkNotSingleCycle(f"fan at vertex {v} does not close")
-            fan.append(nxt)
-            prev_edge = nxt_edge
-            cur = nxt
-        if len(fan) != len(incident):
-            raise LinkNotSingleCycle(
-                f"faces at vertex {v} split into more than one fan")
-        return fan
+    def _flag_table(self) -> FlagTable:
+        """Number the flags as ``FlagTable`` describes and pair them by s1."""
+        edge_faces = self._edge_faces
+        edge_index = {e: i for i, e in enumerate(self.edges)}
+        n_flags = 4 * len(edge_index)
+        s1 = [0] * n_flags
+        vertex = [0] * n_flags
+        face_of = [0] * n_flags
+        start = [-1] * self.n_vertices
+        for fi, face in enumerate(self.faces):
+            k = len(face)
+            # out_flag[i]: the flag at face[i] on the edge to face[i + 1]
+            out_flag = []
+            for i in range(k):
+                u, w = face[i], face[(i + 1) % k]
+                e = (u, w) if u < w else (w, u)
+                out_flag.append(4 * edge_index[e] + 2 * (u > w)
+                                + (edge_faces[e][1] == fi))
+            for i in range(k):
+                # the corner at face[i] joins the edges from face[i - 1] and
+                # to face[i + 1]; s0 of an out-flag lies at the edge's far end
+                x, y = out_flag[i - 1] ^ 2, out_flag[i]
+                s1[x], s1[y] = y, x
+                vertex[x] = vertex[y] = face[i]
+                face_of[x] = face_of[y] = fi
+                if start[face[i]] < 0:
+                    start[face[i]] = x
+        return FlagTable(tuple(s1), tuple(vertex), tuple(face_of), tuple(start))
+
+    def _rotation(self, v: int) -> list[int]:
+        """The flags of v in fan order, one per face: from ``flags.start[v]``
+        step into the next face across the other edge of the corner."""
+        s1 = self.flags.s1
+        x0 = self.flags.start[v]
+        rot = [x0]
+        x = s1[x0] ^ 1
+        while x != x0:
+            rot.append(x)
+            x = s1[x] ^ 1
+        return rot
 
     # -- derived data ------------------------------------------------------
 
@@ -304,38 +334,20 @@ class PolyhedralMap:
 
     def fan(self, v: int) -> tuple[int, ...]:
         """Face indices around ``v`` in fan order (one of the two senses)."""
-        return tuple(self._fan(v))
+        face_of = self.flags.face
+        return tuple(face_of[x] for x in self._rotation(v))
 
     def link(self, v: int) -> tuple[int, ...]:
-        """Neighbours of ``v`` in fan order: the boundary cycle of its star."""
-        fan = self._fan(v)
-        cycle = []
-        # consecutive fan faces share an edge at v; walk those shared edges
-        first = fan[0]
-        face = self.faces[first]
-        i = face.index(v)
-        a, b = face[i - 1], face[(i + 1) % len(face)]
-        nxt_face = fan[1 % len(fan)]
-        shared = set((a, b)) & set(self._corner(nxt_face, v))
-        start = (set((a, b)) - shared).pop() if len(shared) == 1 else a
-        cycle.append(start)
-        prev = start
-        for fi in fan:
-            a, b = self._corner(fi, v)
-            nxt = b if prev == a else a
-            cycle.append(nxt)
-            prev = nxt
-        return tuple(cycle[:-1])
-
-    def _corner(self, fi: int, v: int) -> tuple[int, int]:
-        face = self.faces[fi]
-        i = face.index(v)
-        return (face[i - 1], face[(i + 1) % len(face)])
+        """Neighbours of ``v`` in fan order: the boundary cycle of its star.
+        Entry i is the neighbour across the edge by which fan face i is
+        entered."""
+        vertex = self.flags.vertex
+        return tuple(vertex[x ^ 2] for x in self._rotation(v))
 
     def link_cycle(self, v: int) -> tuple[int, ...]:
         """Boundary cycle of the closed star of ``v``: neighbours plus the
         far vertices of larger faces, in fan order."""
-        fan = self._fan(v)
+        fan = self.fan(v)
         nbrs = self.link(v)
         out: list[int] = []
         for idx, fi in enumerate(fan):
@@ -414,32 +426,20 @@ def euler_characteristic(m: PolyhedralMap) -> int:
 
 
 def is_orientable(m: PolyhedralMap) -> bool:
-    """Propagate face orientations across shared edges; no conflict means
-    the map is orientable."""
-    n_faces = m.n_faces
-    # +1 keeps the stored traversal, -1 reverses it
-    sign = [0] * n_faces
-    directed: list[set[tuple[int, int]]] = []
-    for face in m.faces:
-        k = len(face)
-        directed.append({(face[i], face[(i + 1) % k]) for i in range(k)})
-    sign[0] = 1
+    """Whether the flags 2-colour so that each involution changes the
+    colour; the two colour classes are then the map's two orientations."""
+    s1 = m.flags.s1
+    colour = bytearray(len(s1))  # 0 unseen, else 1 or 2
+    colour[0] = 1
     stack = [0]
     while stack:
-        fi = stack.pop()
-        face = m.faces[fi]
-        k = len(face)
-        for i in range(k):
-            u, v = face[i], face[(i + 1) % k]
-            fa, fb = m.edge_faces(u, v)
-            other = fb if fa == fi else fa
-            # consistent orientations traverse a shared edge oppositely
-            uv_in_other = (u, v) in directed[other]
-            needed = -sign[fi] if uv_in_other else sign[fi]
-            if sign[other] == 0:
-                sign[other] = needed
-                stack.append(other)
-            elif sign[other] != needed:
+        x = stack.pop()
+        other = 3 - colour[x]
+        for y in (x ^ 2, s1[x], x ^ 1):
+            if not colour[y]:
+                colour[y] = other
+                stack.append(y)
+            elif colour[y] != other:
                 return False
     return True
 

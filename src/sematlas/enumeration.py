@@ -399,34 +399,37 @@ class _Searcher:
                 return False
             return True
 
-        def extend(pos: int, used_now: int):
-            # face cycle: (end, v, w, x1, ..., x_{size-3}); pos counts
-            # filled positions beyond the prefix
-            if pos == size - 2:
-                last = prefix[-1]
-                e = edge_key(last, end)
-                uses = self.edge_uses.get(e, 0)
-                if uses >= 2:
-                    return
-                if uses == 1 and last < self.used and self.fast_prunes and (
-                        not self._extension_ok(last, end, size)
-                        or not self._extension_ok(end, last, size)):
-                    return
-                out.append(tuple(prefix))
-                return
-            prev = prefix[-1]
-            cap = min(used_now + 1, self.n)
-            for cand in range(cap):
-                if cand in prefix:
-                    continue
-                if not admissible(prev, cand):
-                    continue
-                prefix.append(cand)
-                extend(pos + 1, max(used_now, cand + 1))
-                prefix.pop()
-
-        extend(0, self.used)
+        self._extend(prefix, admissible, size, self.used, out)
         return out
+
+    def _extend(self, prefix: list[int], admissible, size: int,
+                used_now: int, out: list[tuple[int, ...]]) -> None:
+        """Fill the face cycle (end, v, w, x1, ..., x_{size-3}) that
+        ``prefix`` begins, in lexicographic order, appending each complete
+        face to ``out``.  A method rather than a self-calling closure, so a
+        call leaves no reference cycle behind."""
+        if len(prefix) == size:
+            last, end = prefix[-1], prefix[0]
+            e = edge_key(last, end)
+            uses = self.edge_uses.get(e, 0)
+            if uses >= 2:
+                return
+            if uses == 1 and last < self.used and self.fast_prunes and (
+                    not self._extension_ok(last, end, size)
+                    or not self._extension_ok(end, last, size)):
+                return
+            out.append(tuple(prefix))
+            return
+        prev = prefix[-1]
+        cap = min(used_now + 1, self.n)
+        for cand in range(cap):
+            if cand in prefix:
+                continue
+            if not admissible(prev, cand):
+                continue
+            prefix.append(cand)
+            self._extend(prefix, admissible, size, max(used_now, cand + 1), out)
+            prefix.pop()
 
     # -- main recursion --
 

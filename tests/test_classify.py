@@ -1,7 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+from sematlas import classify
 from sematlas.classify import (
     NotFlat,
     adjacency_matrix,
@@ -51,6 +54,11 @@ class TestIsomorphism:
     def test_pin(self, t_1_10):
         iso = find_isomorphism(t_1_10, t_1_10, pin=(0, 3))
         assert iso is not None and iso[0] == 3
+
+    @pytest.mark.parametrize("pin", [(0, 10), (10, 0), (-1, 3), (3, -1)])
+    def test_pin_outside_the_map_raises(self, t_1_10, pin):
+        with pytest.raises(ValueError):
+            find_isomorphism(t_1_10, t_1_10, pin=pin)
 
     def test_vertex_transitivity(self, tetrahedron, t_1_10):
         assert is_vertex_transitive(tetrahedron)
@@ -144,3 +152,18 @@ class TestSystole:
         perm = list(range(10))
         random.Random(9).shuffle(perm)
         assert homological_systole(k_1_10) == homological_systole(k_1_10.relabel(perm))
+
+    def test_missing_cycle_is_an_error_not_an_assert(self, t_1_10, monkeypatch):
+        # a raised error survives ``python -O``, which strips asserts
+        monkeypatch.setattr(classify, "_gf2_reduce", lambda vec, basis: 0)
+        with pytest.raises(RuntimeError):
+            homological_systole(t_1_10)
+
+
+def test_no_bare_assert_in_the_library():
+    root = Path(classify.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(root.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -213,6 +213,11 @@ def test_classify_usage_error(capsys):
     ["classify", "--max-vertices", "10", "--types", "3,3"],
     ["classify", "--max-vertices", "10", "--jobs", "0"],
     ["classify", "--max-vertices", "10", "--jobs", "-3"],
+    ["classify", "--max-vertices", "10", "--types", ";"],
+    ["iso", str(FIX / "T_1_10__3-3-3-4-4.map"), str(FIX / "T_1_10__3-3-3-4-4.map"),
+     "--pin", "0", "99"],
+    ["iso", str(FIX / "T_1_10__3-3-3-4-4.map"), str(FIX / "T_1_10__3-3-3-4-4.map"),
+     "--pin", "-1", "3"],
 ])
 def test_usage_errors_exit_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)

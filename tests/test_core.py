@@ -117,6 +117,34 @@ class TestLinkCycles:
         assert sorted(tetrahedron.link(0)) == [1, 2, 3]
 
 
+class TestFlagTable:
+    def test_involutions_and_incidences(self, atlas):
+        for fid, m in sorted(atlas.items()):
+            s1, vertex, face, start = m.flags
+            assert len(s1) == 4 * m.n_edges, fid
+            for x in range(len(s1)):
+                u, w = m.edges[x // 4]
+                assert vertex[x] == (u, w)[(x >> 1) & 1], fid
+                assert face[x] == m.edge_faces(u, w)[x & 1], fid
+                # s1 is a fixed-point-free involution keeping vertex and face
+                assert s1[x] != x and s1[s1[x]] == x, fid
+                assert (vertex[s1[x]], face[s1[x]]) == (vertex[x], face[x]), fid
+                assert vertex[s1[x] ^ 2] != vertex[x ^ 2], fid
+            for v in range(m.n_vertices):
+                assert vertex[start[v]] == v and face[start[v]] == m.vertex_faces(v)[0]
+
+    def test_fan_and_link_walk_one_rotation(self, t_1_10):
+        for v in range(t_1_10.n_vertices):
+            fan, link = t_1_10.fan(v), t_1_10.link(v)
+            assert len(fan) == len(link) == t_1_10.degree(v)
+            for i, fi in enumerate(fan):
+                # fan face i holds the edges to link[i] and link[i + 1]
+                corner = {link[i], link[(i + 1) % len(link)]}
+                face = t_1_10.faces[fi]
+                k = face.index(v)
+                assert {face[k - 1], face[(k + 1) % len(face)]} == corner
+
+
 class TestFaceSeqType:
     def test_normalization(self):
         assert FaceSeqType((4, 3, 3, 3, 4)) == FaceSeqType((3, 3, 3, 4, 4))
@@ -170,3 +198,8 @@ def test_malformed_corpus(faces, n, expected):
 
 def test_malformed_corpus_has_twenty_entries():
     assert len(MALFORMED_CORPUS) == 20
+
+
+def test_huge_vertex_count_is_a_bad_label_not_a_memory_error():
+    with pytest.raises(BadLabel, match="vertex 3 occurs in no face"):
+        validate([(0, 1, 2)], 10 ** 11)

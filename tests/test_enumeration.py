@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from sematlas import enumeration
@@ -95,6 +97,16 @@ class TestSearch:
         monkeypatch.setattr(enumeration, "is_semi_equivelar", lambda m: None)
         with pytest.raises(SearchInvariantError):
             enumerate_sems(T334, 10)
+
+    def test_search_leaves_no_reference_cycles(self):
+        # everything the search allocates is freed by reference counting
+        gc.collect()
+        gc.disable()
+        try:
+            enumerate_sems(FaceSeqType((3, 3, 3, 4, 4)), 12)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_one_kagome_square_map(self):
         maps = enumerate_sems(FaceSeqType((3, 3, 4, 3, 4)), 12)
