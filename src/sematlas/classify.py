@@ -26,12 +26,6 @@ class Isomorphism:
     def __getitem__(self, v: int) -> int:
         return self.mapping[v]
 
-    def inverse(self) -> "Isomorphism":
-        inv = [0] * len(self.mapping)
-        for i, j in enumerate(self.mapping):
-            inv[j] = i
-        return Isomorphism(tuple(inv))
-
 
 @dataclass(frozen=True)
 class CanonicalForm:

@@ -152,17 +152,18 @@ def cmd_enumerate(args) -> int:
     print(f"{len(maps)} map(s) of type {t} on {args.n} vertices")
     if args.out:
         outdir = Path(args.out)
-        for name in _save_cell(outdir, t, args.n, maps):
+        orientations = [is_orientable(m) for m in maps]
+        for name in _save_cell(outdir, t, args.n, maps, orientations):
             print(f"  wrote {outdir / (name + '.map')}")
     return 0
 
 
-def _cell_names(t, n, maps):
+def _cell_names(t, n, orientations):
     type_slug = "-".join(str(s) for s in t.sizes)
     names = []
     it = ik = 0
-    for m in maps:
-        if is_orientable(m):
+    for orientable in orientations:
+        if orientable:
             it += 1
             names.append(f"T_{it}_{n}__{type_slug}")
         else:
@@ -171,10 +172,11 @@ def _cell_names(t, n, maps):
     return names
 
 
-def _save_cell(outdir: Path, t, n, maps) -> list[str]:
-    """Save one cell's maps into ``outdir`` under their names; return the names."""
+def _save_cell(outdir: Path, t, n, maps, orientations) -> list[str]:
+    """Save one cell's maps, whose ``is_orientable`` values are
+    ``orientations``, into ``outdir`` under their names; return the names."""
     outdir.mkdir(parents=True, exist_ok=True)
-    names = _cell_names(t, n, maps)
+    names = _cell_names(t, n, orientations)
     for name, m in zip(names, maps):
         semmap.save(m, outdir / f"{name}.map", comment=name)
     return names
@@ -194,7 +196,8 @@ def cmd_classify(args) -> int:
     rows = classify_all(args.max_vertices, types, jobs=args.jobs)
     written = {}
     if args.out:
-        written = {(r.type, r.n): _save_cell(Path(args.out), r.type, r.n, r.maps)
+        written = {(r.type, r.n): _save_cell(Path(args.out), r.type, r.n,
+                                             r.maps, r.orientations)
                    for r in rows}
     print(_format_report(rows, args.format, written))
     return 0

@@ -529,7 +529,7 @@ def subdivide_to_3636(m: PolyhedralMap) -> PolyhedralMap:
         hexagon = []
         for p, first in ((u, fa), (v, fb)):
             e1, e2 = vertex_carriers[p]
-            q1, q2 = _quads_of_carrier(m, e1), _quads_of_carrier(m, e2)
+            q1, q2 = m.edge_faces(*e1), m.edge_faces(*e2)
             # order the pair so the hexagon runs e(in fa), e(in fb), B(fb)...
             if fa in q1 and fb in q2:
                 ea, eb_ = e1, e2
@@ -547,10 +547,6 @@ def subdivide_to_3636(m: PolyhedralMap) -> PolyhedralMap:
     out_faces = [tuple(remap[v] for v in f) for f in faces]
     tags = {"series": {"family": "3,6,3,6", "surface": surface, "n": n}}
     return validate(out_faces, len(used), tags=tags)
-
-
-def _quads_of_carrier(m: PolyhedralMap, e: tuple[int, int]) -> tuple[int, int]:
-    return m.edge_faces(*e)
 
 
 def _checkerboard(m: PolyhedralMap, coord, n, horizontal_carriers: bool):

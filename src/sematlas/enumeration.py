@@ -25,6 +25,7 @@ from .core import (
     cyclic_equal,
     edge_key,
     euler_characteristic,
+    face_edges,
     is_orientable,
     is_semi_equivelar,
 )
@@ -156,7 +157,13 @@ def _next_sizes(sizes: tuple[int, ...], t: tuple[int, ...]) -> frozenset[int]:
 
 
 class _Searcher:
-    """Mutable depth-first search state with explicit undo.
+    """Depth-first search state; a face is committed whole or not at all.
+
+    Each vertex's fan is an immutable tuple of open fragments, each a
+    (neighbours, sizes) pair of tuples; ``()`` before any face meets the
+    vertex and None once its fan closes.  ``_try_face`` checks a face
+    completely before it changes anything and returns the old fans of the
+    face's vertices, from which ``_undo`` reverses the commit.
 
     ``fast_prunes`` guards the two purely-speed prunes (fan-extension
     lookahead and the partial face-intersection check during candidate
@@ -174,36 +181,30 @@ class _Searcher:
         self.nodes = 0
         self.faces: list[tuple[int, ...]] = []
         self.face_sets: list[frozenset[int]] = []
+        self.edge_sets: list[frozenset[tuple[int, int]]] = []
         self.edge_uses: dict[tuple[int, int], int] = {}
         self.vertex_faces: list[list[int]] = [[] for _ in range(n)]
-        # an open fragment is (neighbors tuple, sizes tuple); a closed fan
-        # is stored as the single entry ("closed",)
-        self.fragments: list[list] = [[] for _ in range(n)]
+        self.fragments: list[Optional[tuple]] = [()] * n
         self.used = 0
         self.budgets = {size: cnt for size, cnt in profile.counts}
         self.results: list[PolyhedralMap] = []
         self.seen_forms: set[bytes] = set()
 
-    # -- fragment plumbing --
+    # -- fans and faces --
 
-    def _merge_corner(self, v: int, a: int, b: int, size: int):
-        """Insert the corner a-v-b spanned by a ``size``-gon into v's fans.
-
-        Returns an undo record or the string "fail".
-        """
-        frags = self.fragments[v]
-        if frags and frags[0] == ("closed",):
-            return "fail"
+    def _merged(self, frags: Optional[tuple], a: int, b: int, size: int):
+        """The fan ``frags`` with the corner a-v-b of a ``size``-gon added:
+        the new fragment tuple, None when the corner closes the fan, or
+        False when the corner cannot be added."""
+        if frags is None:
+            return False
         ia = ib = -1
         for i, (nbrs, _sizes) in enumerate(frags):
             if nbrs[0] == a or nbrs[-1] == a:
                 ia = i
             if nbrs[0] == b or nbrs[-1] == b:
                 ib = i
-        old = list(frags)
-        if ia == -1 and ib == -1:
-            frags.append(((a, b), (size,)))
-        elif ia != -1 and ib != -1 and ia == ib:
+        if ia != -1 and ia == ib:
             nbrs, sizes = frags[ia]
             # the corner joins the two ends of one fragment: the fan closes
             if nbrs[-1] == a and nbrs[0] == b:
@@ -211,48 +212,35 @@ class _Searcher:
             elif nbrs[0] == a and nbrs[-1] == b:
                 cyc = tuple(reversed(sizes)) + (size,)
             else:
-                return "fail"
+                return False
             if len(cyc) != self.deg or not cyclic_equal(cyc, self.t):
-                return "fail"
-            frags[:] = [("closed",)]
-            return old
-        else:
-            nbrs_a = sizes_a = None
-            if ia != -1:
-                nbrs_a, sizes_a = frags[ia]
-                if nbrs_a[0] == a:
-                    nbrs_a, sizes_a = tuple(reversed(nbrs_a)), tuple(reversed(sizes_a))
-            nbrs_b = sizes_b = None
-            if ib != -1:
-                nbrs_b, sizes_b = frags[ib]
-                if nbrs_b[-1] == b:
-                    nbrs_b, sizes_b = tuple(reversed(nbrs_b)), tuple(reversed(sizes_b))
-            if nbrs_a is None:
-                nbrs_a, sizes_a = (a,), ()
-            if nbrs_b is None:
-                nbrs_b, sizes_b = (b,), ()
-            merged = (nbrs_a + nbrs_b, sizes_a + (size,) + sizes_b)
-            keep = [f for i, f in enumerate(frags) if i not in (ia, ib)]
-            keep.append(merged)
-            frags[:] = keep
-        # prune: fragments must still fit the cyclic type
-        total_faces = 0
-        for nbrs, sizes in (f for f in frags if f != ("closed",)):
-            if not _embeddings(sizes, self.t):
-                frags[:] = old
-                return "fail"
-            total_faces += len(sizes)
-        if frags != [("closed",)] and total_faces + len(frags) > self.deg:
-            frags[:] = old
-            return "fail"
-        return old
+                return False
+            return None
+        # orient the fragment ending at a to end there, the one at b to
+        # start there; a missing one is the bare neighbour
+        nbrs_a, sizes_a = frags[ia] if ia != -1 else ((a,), ())
+        if nbrs_a[0] == a:
+            nbrs_a, sizes_a = tuple(reversed(nbrs_a)), tuple(reversed(sizes_a))
+        nbrs_b, sizes_b = frags[ib] if ib != -1 else ((b,), ())
+        if nbrs_b[-1] == b:
+            nbrs_b, sizes_b = tuple(reversed(nbrs_b)), tuple(reversed(sizes_b))
+        sizes = sizes_a + (size,) + sizes_b
+        # prune: the fragments must still fit the cyclic type (the others
+        # passed this check when they were made)
+        if not _embeddings(sizes, self.t):
+            return False
+        out = tuple(f for i, f in enumerate(frags) if i not in (ia, ib))
+        out += ((nbrs_a + nbrs_b, sizes),)
+        if sum(len(s) for _nbrs, s in out) + len(out) > self.deg:
+            return False
+        return out
 
-    # -- candidate application --
-
-    def _try_face(self, face: tuple[int, ...]) -> Optional[list]:
-        """Commit ``face`` if every incremental condition holds."""
+    def _try_face(self, face: tuple[int, ...]) -> Optional[tuple]:
+        """Commit ``face`` if every incremental condition holds; return the
+        old fans of its vertices, or None with nothing changed."""
         p = len(face)
         fset = frozenset(face)
+        edges = frozenset(face_edges(face))
         # pairwise intersection with existing faces
         shared: dict[int, int] = {}
         for v in face:
@@ -264,59 +252,42 @@ class _Searcher:
                 continue
             if cnt > 2:
                 return None
-            common = fset & self.face_sets[fi]
-            u, w = sorted(common)
-            if (u, w) not in _edge_set(self.faces[fi]) or (u, w) not in _edge_set(face):
+            u, w = sorted(fset & self.face_sets[fi])
+            if (u, w) not in self.edge_sets[fi] or (u, w) not in edges:
                 return None
-        undo: list = [("faces",)]
+        if any(self.edge_uses.get(e, 0) >= 2 for e in edges):
+            return None
+        old = tuple(self.fragments[v] for v in face)
+        new = []
+        for i, frags in enumerate(old):
+            frags = self._merged(frags, face[i - 1], face[(i + 1) % p], p)
+            if frags is False:
+                return None
+            new.append(frags)
+        fid = len(self.faces)
         self.faces.append(face)
         self.face_sets.append(fset)
-        fid = len(self.faces) - 1
-        ok = True
-        for i in range(p):
-            e = edge_key(face[i], face[(i + 1) % p])
-            uses = self.edge_uses.get(e, 0)
-            if uses >= 2:
-                ok = False
-                break
-            self.edge_uses[e] = uses + 1
-            undo.append(("edge", e))
-        if ok:
-            for v in face:
-                self.vertex_faces[v].append(fid)
-                undo.append(("vface", v))
-                if len(self.vertex_faces[v]) > self.deg:
-                    ok = False
-                    break
-        if ok:
-            for i, v in enumerate(face):
-                a, b = face[i - 1], face[(i + 1) % p]
-                rec = self._merge_corner(v, a, b, p)
-                if rec == "fail":
-                    ok = False
-                    break
-                undo.append(("frag", v, rec))
-        if not ok:
-            self._undo(undo)
-            return None
-        return undo
+        self.edge_sets.append(edges)
+        for e in edges:
+            self.edge_uses[e] = self.edge_uses.get(e, 0) + 1
+        for v, frags in zip(face, new):
+            self.vertex_faces[v].append(fid)
+            self.fragments[v] = frags
+        return old
 
-    def _undo(self, undo: list) -> None:
-        for rec in reversed(undo):
-            kind = rec[0]
-            if kind == "faces":
-                self.faces.pop()
-                self.face_sets.pop()
-            elif kind == "edge":
-                e = rec[1]
-                if self.edge_uses[e] == 1:
-                    del self.edge_uses[e]
-                else:
-                    self.edge_uses[e] -= 1
-            elif kind == "vface":
-                self.vertex_faces[rec[1]].pop()
-            elif kind == "frag":
-                self.fragments[rec[1]][:] = rec[2]
+    def _undo(self, face: tuple[int, ...], old: tuple) -> None:
+        """Reverse the commit of ``face``, the last face committed, given
+        the old fans ``_try_face`` returned."""
+        self.faces.pop()
+        self.face_sets.pop()
+        for e in self.edge_sets.pop():
+            if self.edge_uses[e] == 1:
+                del self.edge_uses[e]
+            else:
+                self.edge_uses[e] -= 1
+        for v, frags in zip(face, old):
+            self.vertex_faces[v].pop()
+            self.fragments[v] = frags
 
     # -- slot selection and candidate generation --
 
@@ -324,7 +295,7 @@ class _Searcher:
         """Least open vertex, its chosen open end, and allowed next sizes."""
         for v in range(self.used):
             frags = self.fragments[v]
-            if not frags or frags[0] == ("closed",):
+            if not frags:
                 continue
             nbrs, sizes = min(frags)
             # extend at the end with the smaller neighbour label
@@ -341,69 +312,63 @@ class _Searcher:
     def _extension_ok(self, vertex: int, via: int, size: int) -> bool:
         """Whether a ``size``-gon can join ``vertex``'s fan across the edge
         to ``via``.  Valid only when that edge already carries one face."""
-        for frag in self.fragments[vertex]:
-            if frag == ("closed",):
-                return False
-            nbrs, sizes = frag
+        for nbrs, sizes in self.fragments[vertex] or ():
             if nbrs[-1] == via:
                 return size in _next_sizes(sizes, self.t)
             if nbrs[0] == via:
                 return size in _next_sizes(tuple(reversed(sizes)), self.t)
-        return False  # saturated interior edge; cannot host another face
+        return False  # closed fan or saturated interior edge
 
     def _candidates(self, v: int, end: int, size: int):
         """Faces of ``size`` gluing onto the open edge {v, end}, in
         lexicographic order with fresh labels taking the least unused."""
         out: list[tuple[int, ...]] = []
-        prefix = [end, v]
-        mult = self.t.count(size)
-
-        def admissible(prev: int, cand: int) -> bool:
-            e = edge_key(prev, cand)
-            uses = self.edge_uses.get(e, 0)
-            if uses >= 2:
-                return False
-            if cand >= self.used:
-                return True
-            if len(self.vertex_faces[cand]) >= self.deg:
-                return False
-            if uses == 1 and self.fast_prunes:
-                # the new face sits next to the edge's one face in both fans
-                if not self._extension_ok(cand, prev, size):
-                    return False
-                if not self._extension_ok(prev, cand, size):
-                    return False
-            pcount = 0
-            for fi in self.vertex_faces[cand]:
-                if len(self.faces[fi]) == size:
-                    pcount += 1
-                if not self.fast_prunes:
-                    continue
-                # partial face-intersection check: once two shared vertices
-                # sit at non-adjacent prefix positions (interior), the faces
-                # can never meet in just an edge
-                fs = self.face_sets[fi]
-                others = [i for i, u in enumerate(prefix) if u in fs]
-                if not others:
-                    continue
-                if len(others) >= 2:
-                    return False
-                i = others[0]
-                j = len(prefix)
-                if i == j - 1:
-                    if edge_key(prefix[i], cand) not in _edge_set(self.faces[fi]):
-                        return False
-                elif i != 0:
-                    return False
-            if pcount >= mult:
-                return False
-            return True
-
-        self._extend(prefix, admissible, size, self.used, out)
+        self._extend([end, v], size, self.used, out)
         return out
 
-    def _extend(self, prefix: list[int], admissible, size: int,
-                used_now: int, out: list[tuple[int, ...]]) -> None:
+    def _admissible(self, prefix: list[int], cand: int, size: int) -> bool:
+        """Whether ``cand`` may follow ``prefix`` in a ``size``-gon."""
+        prev = prefix[-1]
+        e = edge_key(prev, cand)
+        uses = self.edge_uses.get(e, 0)
+        if uses >= 2:
+            return False
+        if cand >= self.used:
+            return True
+        if len(self.vertex_faces[cand]) >= self.deg:
+            return False
+        if uses == 1 and self.fast_prunes:
+            # the new face sits next to the edge's one face in both fans
+            if not self._extension_ok(cand, prev, size):
+                return False
+            if not self._extension_ok(prev, cand, size):
+                return False
+        pcount = 0
+        for fi in self.vertex_faces[cand]:
+            if len(self.faces[fi]) == size:
+                pcount += 1
+            if not self.fast_prunes:
+                continue
+            # partial face-intersection check: once two shared vertices
+            # sit at non-adjacent prefix positions (interior), the faces
+            # can never meet in just an edge
+            fs = self.face_sets[fi]
+            others = [i for i, u in enumerate(prefix) if u in fs]
+            if not others:
+                continue
+            if len(others) >= 2:
+                return False
+            i = others[0]
+            j = len(prefix)
+            if i == j - 1:
+                if edge_key(prefix[i], cand) not in self.edge_sets[fi]:
+                    return False
+            elif i != 0:
+                return False
+        return pcount < self.t.count(size)
+
+    def _extend(self, prefix: list[int], size: int, used_now: int,
+                out: list[tuple[int, ...]]) -> None:
         """Fill the face cycle (end, v, w, x1, ..., x_{size-3}) that
         ``prefix`` begins, in lexicographic order, appending each complete
         face to ``out``.  A method rather than a self-calling closure, so a
@@ -420,15 +385,14 @@ class _Searcher:
                 return
             out.append(tuple(prefix))
             return
-        prev = prefix[-1]
         cap = min(used_now + 1, self.n)
         for cand in range(cap):
             if cand in prefix:
                 continue
-            if not admissible(prev, cand):
+            if not self._admissible(prefix, cand, size):
                 continue
             prefix.append(cand)
-            self._extend(prefix, admissible, size, max(used_now, cand + 1), out)
+            self._extend(prefix, size, max(used_now, cand + 1), out)
             prefix.pop()
 
     # -- main recursion --
@@ -475,13 +439,13 @@ class _Searcher:
                 # fresh labels inside the face advance the used counter
                 new_used = max(self.used, 1 + max(face))
                 self.budgets[size] -= 1
-                undo = self._try_face(face)
-                if undo is not None:
+                old = self._try_face(face)
+                if old is not None:
                     old_used = self.used
                     self.used = new_used
                     self._recurse()
                     self.used = old_used
-                    self._undo(undo)
+                    self._undo(face, old)
                 self.budgets[size] += 1
 
     def _emit_if_complete(self) -> None:
@@ -498,11 +462,6 @@ class _Searcher:
         if form not in self.seen_forms:
             self.seen_forms.add(form)
             self.results.append(m)
-
-
-def _edge_set(face: Sequence[int]) -> set[tuple[int, int]]:
-    p = len(face)
-    return {edge_key(face[i], face[(i + 1) % p]) for i in range(p)}
 
 
 def _env_budget() -> Optional[int]:
@@ -536,6 +495,8 @@ class ReportRow:
     orientable: int
     non_orientable: int
     maps: list[PolyhedralMap] = field(repr=False, default_factory=list)
+    #: ``is_orientable`` of each map, in the order of ``maps``
+    orientations: list[bool] = field(repr=False, default_factory=list)
     infeasible_reason: Optional[str] = None
 
 
@@ -569,8 +530,9 @@ def classify_all(n_max: int, types: Optional[Sequence[FaceSeqType]] = None,
                 raise SearchInvariantError(
                     f"enumerated map of type {t} on {n} vertices has "
                     f"chi = {chi}; closed flat types force 0")
-        orient = sum(1 for m in maps if is_orientable(m))
+        orientations = [is_orientable(m) for m in maps]
+        orient = sum(orientations)
         rows.append(ReportRow(t, n, len(maps), orient, len(maps) - orient,
-                              maps=maps))
+                              maps=maps, orientations=orientations))
     rows.sort(key=lambda r: (r.type.sizes, r.n))
     return rows

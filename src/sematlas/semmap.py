@@ -38,9 +38,12 @@ def parse(text: str) -> PolyhedralMap:
             comment = stripped[1:].strip()
             if comment.startswith("tag:"):
                 try:
-                    tags.update(json.loads(comment[4:].strip()))
+                    tag = json.loads(comment[4:].strip())
                 except json.JSONDecodeError as exc:
                     raise SemmapFormatError(f"bad tag comment: {comment}") from exc
+                if not isinstance(tag, dict):
+                    raise SemmapFormatError(f"tag comment is not a JSON object: {comment}")
+                tags.update(tag)
             continue
         body.append(stripped)
     if not body or body[0].split() != ["semmap", "1"]:

@@ -5,6 +5,7 @@ import pytest
 
 from sematlas import enumeration, semmap
 from sematlas.cli import main
+from sematlas.core import is_orientable
 from sematlas.enumeration import SearchInvariantError
 from sematlas.atlas import _data_root
 
@@ -230,6 +231,25 @@ def test_classify_checks_euler_characteristic(monkeypatch):
     monkeypatch.setattr(enumeration, "euler_characteristic", lambda m: 1)
     with pytest.raises(SearchInvariantError):
         main(["classify", "--max-vertices", "10", "--types", "3,3,3,4,4"])
+
+
+def test_classify_out_tests_each_map_orientable_once(tmp_path, capsys, monkeypatch):
+    from sematlas import cli
+
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return is_orientable(m)
+
+    for module in (enumeration, cli):
+        monkeypatch.setattr(module, "is_orientable", counting)
+    code, _, _ = run(capsys, "classify", "--max-vertices", "14",
+                     "--out", str(tmp_path))
+    assert code == 0
+    names = sorted(p.name for p in tmp_path.glob("*.map"))
+    assert len(names) == len(calls) == 11
+    assert sum(name.startswith("T_") for name in names) == sum(map(is_orientable, calls))
 
 
 def test_export_svg_matches_golden(tmp_path, capsys):

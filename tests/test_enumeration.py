@@ -137,6 +137,40 @@ class TestPruneSoundness:
         assert results[True] == results[False]
 
 
+#: (type, n) -> (search nodes, classes) for every flat-type cell with
+#: n <= 16.  A refactor of the search must leave it as it is; a prune
+#: change alters it on purpose.
+SEARCH_TREE = {
+    ((3, 3, 3, 4, 4), 8): (6, 0),
+    ((3, 3, 3, 4, 4), 10): (51, 2),
+    ((3, 3, 3, 4, 4), 12): (219, 5),
+    ((3, 3, 3, 4, 4), 14): (525, 3),
+    ((3, 3, 3, 4, 4), 16): (1569, 7),
+    ((3, 3, 4, 3, 4), 8): (1, 0),
+    ((3, 3, 4, 3, 4), 10): (81, 0),
+    ((3, 3, 4, 3, 4), 12): (258, 1),
+    ((3, 3, 4, 3, 4), 14): (482, 0),
+    ((3, 3, 4, 3, 4), 16): (1398, 3),
+    ((3, 4, 6, 4), 12): (12, 0),
+    ((4, 8, 8), 16): (1, 0),
+    ((3, 3, 3, 3, 6), 12): (15, 0),
+    ((3, 6, 3, 6), 12): (1, 0),
+    ((3, 6, 3, 6), 15): (8, 0),
+}
+
+
+def test_search_tree_is_pinned():
+    from sematlas.enumeration import ALL_FLAT_TYPES, _Searcher
+
+    got = {}
+    for t in ALL_FLAT_TYPES:
+        for n in min_vertices_gate(t, 16):
+            s = _Searcher(t, n, face_counts(t, n), None)
+            s.run()
+            got[(t.sizes, n)] = (s.nodes, len(s.results))
+    assert got == SEARCH_TREE
+
+
 class TestClassifyAll:
     def test_table_rows(self):
         rows = classify_all(15, [T334, FaceSeqType((3, 12, 12))])
