@@ -309,6 +309,8 @@ def cmd_export(args) -> int:
         try:
             text = to_svg(m)
         except SvgUnsupported as exc:
+            if "coords" in m.tags:
+                raise  # malformed coordinates are an error, not a fallback
             print(f"warning: {exc}; falling back to DOT", file=sys.stderr)
             text = to_dot(m)
     else:
@@ -416,7 +418,7 @@ def main(argv=None) -> int:
     except (InvalidMapError, semmap.SemmapFormatError, NotFlat, BudgetExceeded,
             cons.ParamOutOfRange, cons.NotGridMap, cons.ParityError,
             cons.NoConsistentDiagonalization, cons.AlreadyOrientable,
-            cons.NotTruncation) as exc:
+            cons.NotTruncation, SvgUnsupported) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

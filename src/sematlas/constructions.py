@@ -19,6 +19,7 @@ from .core import (
     canonical_face,
     edge_key,
     euler_characteristic,
+    grid_coords,
     is_orientable,
     is_semi_equivelar,
     validate,
@@ -308,12 +309,23 @@ def verify_covering(cover: PolyhedralMap, base: PolyhedralMap,
 
 
 def _grid_info(m: PolyhedralMap):
+    """(surface, n, {vertex: (row, column)}) from a 4^4 series map's tags;
+    NotGridMap when a tag is missing or malformed."""
     series = m.tags.get("series")
-    coords = m.tags.get("coords")
-    if not series or not coords or series.get("family") != "4^4":
+    try:
+        coord = grid_coords(m)
+    except ValueError as exc:
+        raise NotGridMap(str(exc)) from exc
+    if (not isinstance(series, dict) or series.get("family") != "4^4"
+            or coord is None):
         raise NotGridMap("operation needs a tagged (4^4) series map")
-    coord = {int(v): tuple(rc) for v, rc in coords.items()}
-    return series["surface"], int(series["n"]), coord
+    surface, n = series.get("surface"), series.get("n")
+    if surface not in ("torus", "klein_bottle"):
+        raise NotGridMap(f"series tag has no surface torus or klein_bottle: "
+                         f"{surface!r}")
+    if type(n) is not int or n < 1:
+        raise NotGridMap(f"series tag has no positive integer n: {n!r}")
+    return surface, n, coord
 
 
 def _edge_is_horizontal(coord, u, v, n) -> bool:
@@ -412,8 +424,9 @@ def subdivide_alternate_diagonals(m: PolyhedralMap) -> PolyhedralMap:
     if surface != "torus":
         raise ParityError(
             "three stacked quad layers admit no alternating pattern")
-    series = m.tags["series"]
-    twist = int(series.get("twist", -3))
+    twist = m.tags["series"].get("twist", -3)
+    if type(twist) is not int:
+        raise NotGridMap(f"series tag has no integer twist: {twist!r}")
     if n % 2:
         raise ParityError(f"column count {n} is odd; alternation cannot close")
     if twist % 2:

@@ -401,6 +401,33 @@ def validate(faces: Iterable[Sequence[int]], n: int,
     return PolyhedralMap(n, faces, tags=tags)
 
 
+def grid_coords(m: PolyhedralMap) -> Optional[dict[int, tuple[int, int]]]:
+    """The ``coords`` tag of a generator-built grid map as
+    {vertex: (row, column)}, or None when the map has no such tag.
+
+    Raises ValueError unless the tag is an object that maps every vertex
+    of ``m``, once, to a [row, column] pair of integers."""
+    if "coords" not in m.tags:
+        return None
+    raw = m.tags["coords"]
+    if not isinstance(raw, dict):
+        raise ValueError(f"coords tag is not an object: {raw!r}")
+    out = {}
+    for key, rc in raw.items():
+        if not (isinstance(rc, (list, tuple)) and len(rc) == 2
+                and all(type(x) is int for x in rc)):
+            raise ValueError(f"coords of vertex {key!r} are not a "
+                             f"[row, column] pair of integers: {rc!r}")
+        try:
+            out[int(key)] = (rc[0], rc[1])
+        except ValueError:
+            raise ValueError(f"coords key {key!r} is not a vertex") from None
+    if len(raw) != m.n_vertices or sorted(out) != list(range(m.n_vertices)):
+        raise ValueError(f"coords tag does not place each of the "
+                         f"{m.n_vertices} vertices once")
+    return out
+
+
 def face_sequence(m: PolyhedralMap, v: int) -> tuple[int, ...]:
     """Sizes of the faces around ``v`` in fan order (a rotation class)."""
     if not 0 <= v < m.n_vertices:

@@ -6,7 +6,9 @@ least vertex whose fan is still open and try every face that can extend
 it, with fresh vertices always taking the least unused label.  Pruning
 uses the exact per-size face budgets, the edge-in-two-faces rule, the
 pairwise face-intersection condition, and the requirement that every
-partial fan embeds consecutively in the target cyclic type.  Survivors
+partial fan embeds consecutively in the target cyclic type; it fails
+first, checking each corner as soon as a candidate face fixes it and
+cutting a node when any open edge admits no face at all.  Survivors
 are deduplicated by canonical form, so the output lists every map of the
 requested type and vertex count exactly once up to isomorphism.
 """
@@ -165,10 +167,11 @@ class _Searcher:
     completely before it changes anything and returns the old fans of the
     face's vertices, from which ``_undo`` reverses the commit.
 
-    ``fast_prunes`` guards the two purely-speed prunes (fan-extension
-    lookahead and the partial face-intersection check during candidate
-    generation); the search is complete with or without them, which the
-    test suite cross-checks on small cells.
+    ``fast_prunes`` guards the purely-speed prunes: the fan-extension
+    lookahead, the partial face-intersection check and the corner checks
+    during candidate generation, and the forward check of every open edge
+    (``_dead_end``).  The search is complete with or without them, which
+    the test suite cross-checks on small cells.
     """
 
     def __init__(self, t: FaceSeqType, n: int, profile: FaceCountProfile,
@@ -189,6 +192,11 @@ class _Searcher:
         self.budgets = {size: cnt for size, cnt in profile.counts}
         self.results: list[PolyhedralMap] = []
         self.seen_forms: set[bytes] = set()
+        #: open edge (v, end) -> (the last face found to fill it, clock)
+        self.witnesses: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
+        #: commits and undos so far; the count at each vertex's last one
+        self.clock = 0
+        self.touched = [0] * n
 
     # -- fans and faces --
 
@@ -235,10 +243,9 @@ class _Searcher:
             return False
         return out
 
-    def _try_face(self, face: tuple[int, ...]) -> Optional[tuple]:
-        """Commit ``face`` if every incremental condition holds; return the
-        old fans of its vertices, or None with nothing changed."""
-        p = len(face)
+    def _meets_cleanly(self, face: tuple[int, ...]) -> bool:
+        """Whether ``face`` meets every committed face in at most a vertex
+        or a common edge, and finds none of its edges in two faces."""
         fset = frozenset(face)
         edges = frozenset(face_edges(face))
         # pairwise intersection with existing faces
@@ -251,12 +258,18 @@ class _Searcher:
             if cnt < 2:
                 continue
             if cnt > 2:
-                return None
+                return False
             u, w = sorted(fset & self.face_sets[fi])
             if (u, w) not in self.edge_sets[fi] or (u, w) not in edges:
-                return None
-        if any(self.edge_uses.get(e, 0) >= 2 for e in edges):
+                return False
+        return all(self.edge_uses.get(e, 0) < 2 for e in edges)
+
+    def _try_face(self, face: tuple[int, ...]) -> Optional[tuple]:
+        """Commit ``face`` if every incremental condition holds; return the
+        old fans of its vertices, or None with nothing changed."""
+        if not self._meets_cleanly(face):
             return None
+        p = len(face)
         old = tuple(self.fragments[v] for v in face)
         new = []
         for i, frags in enumerate(old):
@@ -266,13 +279,16 @@ class _Searcher:
             new.append(frags)
         fid = len(self.faces)
         self.faces.append(face)
-        self.face_sets.append(fset)
+        self.face_sets.append(frozenset(face))
+        edges = frozenset(face_edges(face))
         self.edge_sets.append(edges)
         for e in edges:
             self.edge_uses[e] = self.edge_uses.get(e, 0) + 1
+        self.clock += 1
         for v, frags in zip(face, new):
             self.vertex_faces[v].append(fid)
             self.fragments[v] = frags
+            self.touched[v] = self.clock
         return old
 
     def _undo(self, face: tuple[int, ...], old: tuple) -> None:
@@ -285,9 +301,11 @@ class _Searcher:
                 del self.edge_uses[e]
             else:
                 self.edge_uses[e] -= 1
+        self.clock += 1
         for v, frags in zip(face, old):
             self.vertex_faces[v].pop()
             self.fragments[v] = frags
+            self.touched[v] = self.clock
 
     # -- slot selection and candidate generation --
 
@@ -301,13 +319,63 @@ class _Searcher:
             # extend at the end with the smaller neighbour label
             if nbrs[0] <= nbrs[-1]:
                 nbrs, sizes = tuple(reversed(nbrs)), tuple(reversed(sizes))
-            end = nbrs[-1]
-            allowed = tuple(sorted(
-                s for s in _next_sizes(sizes, self.t)
-                if self.budgets.get(s, 0) > 0
-                and (not self.fast_prunes or self._extension_ok(end, v, s))))
-            return (v, end, allowed)
+            return (v, nbrs[-1], self._allowed(v, nbrs[-1], sizes))
         return None
+
+    def _allowed(self, v: int, end: int, sizes: tuple[int, ...]) -> list[int]:
+        """Sizes of a face that may glue onto the open edge {v, end}, where
+        ``sizes`` is v's fan fragment ending at ``end``."""
+        return [s for s in sorted(_next_sizes(sizes, self.t))
+                if self.budgets.get(s, 0) > 0
+                and (not self.fast_prunes or self._extension_ok(end, v, s))]
+
+    def _dead_end(self, skip: tuple[int, int]) -> bool:
+        """Fail first: whether an open edge other than ``skip`` admits no
+        face.  Constraints only tighten along a branch (budgets fall, edge
+        uses, fans and faces only grow, fresh labels are interchangeable),
+        so such an edge stays unfillable and the node has no completion."""
+        for v in range(self.used):
+            for nbrs, sizes in self.fragments[v] or ():
+                for end, run in ((nbrs[-1], sizes), (nbrs[0], sizes[::-1])):
+                    # each open edge once, from its smaller vertex
+                    if end > v and (v, end) != skip and not self._fillable(v, end, run):
+                        return True
+        return False
+
+    def _fillable(self, v: int, end: int, sizes: tuple[int, ...]) -> bool:
+        """Whether ``_try_face`` would accept some face that ``_faces``
+        gives for the open edge {v, end}.  Such a face has passed its
+        corner checks there, so ``_meets_cleanly`` decides.
+
+        The edge keeps the last such face as its witness, with fresh labels
+        stored as offsets ~k from ``used``, and the clock of that check.
+        The verdict on a face reads only its size's budget, the number of
+        free labels and the state of its old vertices, so a witness none of
+        whose old vertices a commit or undo has touched since is alive as
+        it stands.  Otherwise ``_faces`` replays it, so it lives exactly
+        when the search would give it now, and the candidates are searched
+        again only when it has died."""
+        used = self.used
+        entry = self.witnesses.get((v, end))
+        if entry is not None:
+            path, clock = entry
+            face = tuple(u if u >= 0 else used + ~u for u in path)
+            size = len(face)
+            if self.budgets[size] > 0 and max(face) < self.n:
+                if all(self.touched[u] <= clock for u in path if u >= 0):
+                    return True
+                if size in self._allowed(v, end, sizes) and any(
+                        self._meets_cleanly(f)
+                        for f in self._faces([end, v], size, used, face)):
+                    self.witnesses[(v, end)] = (path, self.clock)
+                    return True
+        for size in self._allowed(v, end, sizes):
+            for face in self._faces([end, v], size, used):
+                if self._meets_cleanly(face):
+                    path = tuple(u if u < used else ~(u - used) for u in face)
+                    self.witnesses[(v, end)] = (path, self.clock)
+                    return True
+        return False
 
     def _extension_ok(self, vertex: int, via: int, size: int) -> bool:
         """Whether a ``size``-gon can join ``vertex``'s fan across the edge
@@ -318,13 +386,6 @@ class _Searcher:
             if nbrs[0] == via:
                 return size in _next_sizes(tuple(reversed(sizes)), self.t)
         return False  # closed fan or saturated interior edge
-
-    def _candidates(self, v: int, end: int, size: int):
-        """Faces of ``size`` gluing onto the open edge {v, end}, in
-        lexicographic order with fresh labels taking the least unused."""
-        out: list[tuple[int, ...]] = []
-        self._extend([end, v], size, self.used, out)
-        return out
 
     def _admissible(self, prefix: list[int], cand: int, size: int) -> bool:
         """Whether ``cand`` may follow ``prefix`` in a ``size``-gon."""
@@ -367,32 +428,60 @@ class _Searcher:
                 return False
         return pcount < self.t.count(size)
 
-    def _extend(self, prefix: list[int], size: int, used_now: int,
-                out: list[tuple[int, ...]]) -> None:
-        """Fill the face cycle (end, v, w, x1, ..., x_{size-3}) that
-        ``prefix`` begins, in lexicographic order, appending each complete
-        face to ``out``.  A method rather than a self-calling closure, so a
-        call leaves no reference cycle behind."""
+    def _closes(self, prefix: list[int], size: int) -> bool:
+        """Whether the full ``prefix`` may close into a face."""
+        last, end = prefix[-1], prefix[0]
+        uses = self.edge_uses.get(edge_key(last, end), 0)
+        if uses >= 2:
+            return False
+        if not self.fast_prunes:
+            return True
+        if uses == 1 and last < self.used and (
+                not self._extension_ok(last, end, size)
+                or not self._extension_ok(end, last, size)):
+            return False
+        # the two closing corners, at ``last`` and at ``end``
+        if last < self.used and self._merged(
+                self.fragments[last], prefix[-2], end, size) is False:
+            return False
+        return self._merged(self.fragments[end], last, prefix[1], size) is not False
+
+    def _faces(self, prefix: list[int], size: int, used_now: int,
+               path: Optional[tuple[int, ...]] = None):
+        """Yield the completions of the face cycle (end, v, w, x1, ...,
+        x_{size-3}) that ``prefix`` begins, in lexicographic order, fresh
+        labels taking the least unused.  Given ``path``, a face starting
+        with ``prefix``, yield only ``path``, and only if it is among them.
+        A method rather than a self-calling closure, so a call leaves no
+        reference cycle behind."""
         if len(prefix) == size:
-            last, end = prefix[-1], prefix[0]
-            e = edge_key(last, end)
-            uses = self.edge_uses.get(e, 0)
-            if uses >= 2:
-                return
-            if uses == 1 and last < self.used and self.fast_prunes and (
-                    not self._extension_ok(last, end, size)
-                    or not self._extension_ok(end, last, size)):
-                return
-            out.append(tuple(prefix))
+            if self._closes(prefix, size):
+                yield tuple(prefix)
             return
         cap = min(used_now + 1, self.n)
-        for cand in range(cap):
+        cands = range(cap)
+        prev, ends = prefix[-1], ()
+        if self.fast_prunes and prev < self.used:
+            # fail first: the next vertex fixes the corner a-prev-cand,
+            # which is then ``_try_face``'s verdict (each corner of a face
+            # sits at its own vertex).  Every cand ending no fragment of
+            # prev's fan gets the verdict of ``self.n``, which is no vertex.
+            frags, a = self.fragments[prev], prefix[-2]
+            ends = {u for nbrs, _sizes in frags for u in (nbrs[0], nbrs[-1])}
+            ends.discard(a)
+            if self._merged(frags, a, self.n, size) is False:
+                cands = sorted(u for u in ends if u < cap)
+        if path is not None:
+            cands = [path[len(prefix)]] if path[len(prefix)] in cands else []
+        for cand in cands:
             if cand in prefix:
                 continue
             if not self._admissible(prefix, cand, size):
                 continue
+            if cand in ends and self._merged(frags, a, cand, size) is False:
+                continue
             prefix.append(cand)
-            self._extend(prefix, size, max(used_now, cand + 1), out)
+            yield from self._faces(prefix, size, max(used_now, cand + 1), path)
             prefix.pop()
 
     # -- main recursion --
@@ -426,16 +515,22 @@ class _Searcher:
 
     def _recurse(self) -> None:
         self.nodes += 1
-        if self.budget is not None and self.nodes > self.budget:
-            raise BudgetExceeded(
-                f"exceeded {self.budget} search nodes (set {BUDGET_ENV})")
         slot = self._open_vertex()
+        if self.budget is not None and self.nodes > self.budget:
+            where = f"least open vertex {slot[0]}" if slot else "no open vertex"
+            raise BudgetExceeded(
+                f"exceeded {self.budget} search nodes; reached depth "
+                f"{len(self.faces)} (faces committed) with {where} "
+                f"(set {BUDGET_ENV})")
         if slot is None:
             self._emit_if_complete()
             return
         v, end, allowed = slot
+        if self.fast_prunes and self._dead_end((v, end)):
+            return
         for size in allowed:
-            for face in self._candidates(v, end, size):
+            # drawn up front: the recursion below commits and undoes faces
+            for face in list(self._faces([end, v], size, self.used)):
                 # fresh labels inside the face advance the used counter
                 new_used = max(self.used, 1 + max(face))
                 self.budgets[size] -= 1

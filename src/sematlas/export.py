@@ -3,7 +3,7 @@ generator-tagged grid maps."""
 
 from __future__ import annotations
 
-from .core import PolyhedralMap
+from .core import PolyhedralMap, grid_coords
 
 
 def to_dot(m: PolyhedralMap, name: str = "map") -> str:
@@ -17,19 +17,23 @@ def to_dot(m: PolyhedralMap, name: str = "map") -> str:
 
 
 class SvgUnsupported(ValueError):
-    """SVG layout needs generator grid tags."""
+    """SVG layout needs well-formed generator grid tags."""
 
 
 def to_svg(m: PolyhedralMap, scale: int = 48) -> str:
     """Fundamental-polygon drawing of a tagged grid map.
 
     Vertices sit on their (row, column) grid positions; edges wrapping
-    around the polygon are drawn as labelled stubs.
+    around the polygon are drawn as labelled stubs.  Raises SvgUnsupported
+    for a map without a ``coords`` tag or with a malformed one.
     """
-    coords = m.tags.get("coords")
-    if not coords:
+    try:
+        coords = grid_coords(m)
+    except ValueError as exc:
+        raise SvgUnsupported(str(exc)) from exc
+    if coords is None:
         raise SvgUnsupported("map carries no grid coordinates")
-    pos = {int(v): (int(rc[1]), int(rc[0])) for v, rc in coords.items()}
+    pos = {v: (col, row) for v, (row, col) in coords.items()}
     cols = 1 + max(x for x, _ in pos.values())
     rows = 1 + max(y for _, y in pos.values())
     pad = scale
@@ -62,7 +66,9 @@ def to_svg(m: PolyhedralMap, scale: int = 48) -> str:
         x, y = pt(v)
         body.append(f'<circle cx="{x}" cy="{y}" r="3"/>')
         body.append(f'<text x="{x + 5}" y="{y - 5}">{v}</text>')
-    series = m.tags.get("series", {})
+    series = m.tags.get("series")
+    if not isinstance(series, dict):
+        series = {}
     title = " ".join(f"{k}={series[k]}" for k in sorted(series))
     return "\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '

@@ -5,7 +5,15 @@ import pytest
 
 from sematlas import enumeration, semmap
 from sematlas.cli import main
-from sematlas.core import is_orientable
+from sematlas.constructions import (
+    NotGridMap,
+    SeriesParams,
+    equivelar_series,
+    subdivide_alternate_diagonals,
+    subdivide_layer_diagonals,
+)
+from sematlas.core import PolyhedralMap, is_orientable
+from sematlas.export import SvgUnsupported, to_svg
 from sematlas.enumeration import SearchInvariantError
 from sematlas.atlas import _data_root
 
@@ -260,3 +268,73 @@ def test_export_svg_matches_golden(tmp_path, capsys):
     assert code == 0
     golden = Path(__file__).parent / "data" / "torus_44_n7.svg"
     assert out == golden.read_text()
+
+
+def retagged_grid(tmp_path, twist=None, **tags):
+    """The 4^4 torus grid with ``tags`` laid over its own, and its file."""
+    m = equivelar_series(SeriesParams("4^4", "torus", 8 if twist else 7, twist=twist))
+    m = PolyhedralMap(m.n_vertices, m.faces, tags={**m.tags, **tags})
+    path = tmp_path / "grid.map"
+    semmap.save(m, path)
+    return m, str(path)
+
+
+def assert_one_error_line(code, out, err, name):
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {name}: ") and len(err.splitlines()) == 1
+
+
+GRID_COORDS = equivelar_series(SeriesParams("4^4", "torus", 7)).tags["coords"]
+
+
+@pytest.mark.parametrize("coords", [
+    5,
+    None,
+    [[0, 0]],
+    {**GRID_COORDS, "0": [0]},
+    {**GRID_COORDS, "0": [0, "1"]},
+    {**GRID_COORDS, "0": [True, 1]},
+    {k: rc for k, rc in GRID_COORDS.items() if k != "0"},
+    {**GRID_COORDS, "x": [0, 0]},
+])
+def test_malformed_coords_are_svg_unsupported(tmp_path, capsys, coords):
+    m, path = retagged_grid(tmp_path, coords=coords)
+    with pytest.raises(SvgUnsupported):
+        to_svg(m)
+    code, out, err = run(capsys, "export", "--format", "svg", path)
+    assert_one_error_line(code, out, err, "SvgUnsupported")
+
+
+def test_svg_title_skips_a_series_tag_that_is_not_an_object(tmp_path):
+    m, _ = retagged_grid(tmp_path, series=[1])
+    assert "<title></title>" in to_svg(m)
+
+
+@pytest.mark.parametrize("series", [
+    {"family": "4^4", "n": 7},
+    {"family": "4^4", "surface": 3, "n": 7},
+    {"family": "4^4", "surface": "torus"},
+    {"family": "4^4", "surface": "torus", "n": "7"},
+    {"family": "4^4", "surface": "torus", "n": 0},
+])
+def test_malformed_series_is_not_a_grid_map(tmp_path, capsys, series):
+    m, path = retagged_grid(tmp_path, series=series)
+    with pytest.raises(NotGridMap):
+        subdivide_layer_diagonals(m)
+    code, out, err = run(capsys, "derive", "--ops", "subdivide-layer", path)
+    assert_one_error_line(code, out, err, "NotGridMap")
+
+
+def test_malformed_coords_or_twist_is_not_a_grid_map(tmp_path, capsys):
+    m, path = retagged_grid(tmp_path, coords=5)
+    with pytest.raises(NotGridMap):
+        subdivide_layer_diagonals(m)
+    code, out, err = run(capsys, "derive", "--ops", "subdivide-layer", path)
+    assert_one_error_line(code, out, err, "NotGridMap")
+
+    series = {"family": "4^4", "surface": "torus", "n": 8, "twist": "x"}
+    m, path = retagged_grid(tmp_path, twist=-4, series=series)
+    with pytest.raises(NotGridMap):
+        subdivide_alternate_diagonals(m)
+    code, out, err = run(capsys, "derive", "--ops", "subdivide-alternate", path)
+    assert_one_error_line(code, out, err, "NotGridMap")

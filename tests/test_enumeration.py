@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import re
 
 import pytest
 
@@ -16,6 +18,7 @@ from sematlas.enumeration import (
     min_vertices_gate,
     star_vertex_bound,
 )
+from sematlas.semmap import serialize
 
 T334 = FaceSeqType((3, 3, 3, 4, 4))
 
@@ -92,6 +95,17 @@ class TestSearch:
         with pytest.raises(BudgetExceeded):
             enumerate_sems(T334, 12, budget=5)
 
+    def test_budget_exceeded_says_how_far_it_got(self):
+        with pytest.raises(BudgetExceeded) as exc:
+            enumerate_sems(T334, 12, budget=5)
+        got = re.search(r"depth (\d+) \(faces committed\) with least open "
+                        r"vertex (\d+)", str(exc.value))
+        assert got, str(exc.value)
+        depth, vertex = map(int, got.groups())
+        # past the five faces of the fixed star around vertex 0, short of
+        # the map's 15; vertex 0's own fan is closed
+        assert 5 < depth < 15 and 0 < vertex < 12
+
     def test_emitted_type_check_is_not_an_assert(self, monkeypatch):
         # a typed error survives ``python -O``, which strips asserts
         monkeypatch.setattr(enumeration, "is_semi_equivelar", lambda m: None)
@@ -114,15 +128,25 @@ class TestSearch:
         assert not is_orientable(maps[0])
 
 
+class _NoWitnesses(dict):
+    """A witness table whose lookups always miss."""
+
+    def get(self, key, default=None):
+        return default
+
+
+PRUNE_CELLS = [
+    ((3, 3, 3, 4, 4), 10),
+    ((3, 3, 3, 4, 4), 12),
+    ((3, 3, 4, 3, 4), 12),
+    ((3, 4, 6, 4), 18),
+    ((3, 6, 3, 6), 15),
+    ((4, 8, 8), 16),
+]
+
+
 class TestPruneSoundness:
-    @pytest.mark.parametrize("sizes,n", [
-        ((3, 3, 3, 4, 4), 10),
-        ((3, 3, 3, 4, 4), 12),
-        ((3, 3, 4, 3, 4), 12),
-        ((3, 4, 6, 4), 18),
-        ((3, 6, 3, 6), 15),
-        ((4, 8, 8), 16),
-    ])
+    @pytest.mark.parametrize("sizes,n", PRUNE_CELLS)
     def test_speed_prunes_change_nothing(self, sizes, n):
         """The lookahead prunes must be pure accelerators: running without
         them yields the identical set of isomorphism classes."""
@@ -136,26 +160,43 @@ class TestPruneSoundness:
             results[fast] = sorted(canonical_form(m).form for m in s.results)
         assert results[True] == results[False]
 
+    @pytest.mark.parametrize("sizes,n", PRUNE_CELLS)
+    def test_witnesses_change_nothing(self, sizes, n):
+        """A witness only spares a search: when every lookup misses, the
+        forward check searches every open edge anew at every node, and the
+        tree and the maps stay the same."""
+        from sematlas.enumeration import _Searcher
+
+        t = FaceSeqType(sizes)
+        results = {}
+        for forget in (False, True):
+            s = _Searcher(t, n, face_counts(t, n), None)
+            if forget:
+                s.witnesses = _NoWitnesses()
+            s.run()
+            results[forget] = (s.nodes, [serialize(m) for m in s.results])
+        assert results[True] == results[False]
+
 
 #: (type, n) -> (search nodes, classes) for every flat-type cell with
 #: n <= 16.  A refactor of the search must leave it as it is; a prune
 #: change alters it on purpose.
 SEARCH_TREE = {
-    ((3, 3, 3, 4, 4), 8): (6, 0),
-    ((3, 3, 3, 4, 4), 10): (51, 2),
-    ((3, 3, 3, 4, 4), 12): (219, 5),
-    ((3, 3, 3, 4, 4), 14): (525, 3),
-    ((3, 3, 3, 4, 4), 16): (1569, 7),
+    ((3, 3, 3, 4, 4), 8): (4, 0),
+    ((3, 3, 3, 4, 4), 10): (41, 2),
+    ((3, 3, 3, 4, 4), 12): (148, 5),
+    ((3, 3, 3, 4, 4), 14): (312, 3),
+    ((3, 3, 3, 4, 4), 16): (688, 7),
     ((3, 3, 4, 3, 4), 8): (1, 0),
-    ((3, 3, 4, 3, 4), 10): (81, 0),
-    ((3, 3, 4, 3, 4), 12): (258, 1),
-    ((3, 3, 4, 3, 4), 14): (482, 0),
-    ((3, 3, 4, 3, 4), 16): (1398, 3),
-    ((3, 4, 6, 4), 12): (12, 0),
+    ((3, 3, 4, 3, 4), 10): (40, 0),
+    ((3, 3, 4, 3, 4), 12): (147, 1),
+    ((3, 3, 4, 3, 4), 14): (252, 0),
+    ((3, 3, 4, 3, 4), 16): (607, 3),
+    ((3, 4, 6, 4), 12): (1, 0),
     ((4, 8, 8), 16): (1, 0),
-    ((3, 3, 3, 3, 6), 12): (15, 0),
+    ((3, 3, 3, 3, 6), 12): (14, 0),
     ((3, 6, 3, 6), 12): (1, 0),
-    ((3, 6, 3, 6), 15): (8, 0),
+    ((3, 6, 3, 6), 15): (2, 0),
 }
 
 
@@ -169,6 +210,25 @@ def test_search_tree_is_pinned():
             s.run()
             got[(t.sizes, n)] = (s.nodes, len(s.results))
     assert got == SEARCH_TREE
+
+
+#: Two cells beyond the census, recorded before the search gained its
+#: fail-first prunes: (type, n) -> (classes, SHA-256 over the semmap text
+#: of the emitted maps in order).  Pruning may cut nodes, never a map.
+BEYOND_CENSUS = {
+    ((3, 3, 3, 4, 4), 22): (
+        5, "e06631f1ee16978f7e749c43b1fb9b8b0ad180c2ef03b8ceee24f5cc2750f92c"),
+    ((3, 6, 3, 6), 21): (
+        1, "9fbe31187694fc9d7e9f895bcd7cd8a4cb6751b8b14aa4a2d17813f212516eec"),
+}
+
+
+@pytest.mark.parametrize("sizes,n", sorted(BEYOND_CENSUS))
+def test_search_beyond_the_census_is_pinned(sizes, n):
+    maps = enumerate_sems(FaceSeqType(sizes), n)
+    text = "".join(serialize(m) for m in maps)
+    got = (len(maps), hashlib.sha256(text.encode()).hexdigest())
+    assert got == BEYOND_CENSUS[(sizes, n)]
 
 
 class TestClassifyAll:
