@@ -41,7 +41,7 @@ JSON_SCHEMA = "sematlas/1"
 def _load(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
     return semmap.parse(text)

@@ -13,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .classify import NotFlat
 from .core import (
     FaceSeqType,
     PolyhedralMap,
     canonical_face,
+    cyclic_equal,
     edge_key,
     euler_characteristic,
     grid_coords,
@@ -120,32 +122,33 @@ def _series_tags(family: str, surface: str, n: int, coords: dict,
     }
 
 
-def _torus_44(n: int, twist: int = -3) -> PolyhedralMap:
+def _torus_grid(n: int, twist: int):
     # row 0: b_j = j; row 1: m_j = n + j; the vertical wrap re-enters
     # row 0 shifted by ``twist`` columns
     b = lambda j: j % n
     m = lambda j: n + (j % n)
-    faces = []
+    quads = []
     for j in range(n):
-        faces.append((b(j), b(j + 1), m(j + 1), m(j)))
-        faces.append((m(j), m(j + 1), b(j + 1 + twist), b(j + twist)))
+        quads.append((b(j), b(j + 1), m(j + 1), m(j)))
+        quads.append((m(j), m(j + 1), b(j + 1 + twist), b(j + twist)))
     coords = {b(j): (0, j) for j in range(n)}
     coords.update({m(j): (1, j) for j in range(n)})
-    return validate(faces, 2 * n,
+    return quads, coords
+
+
+def _torus_44(n: int, twist: int = -3) -> PolyhedralMap:
+    quads, coords = _torus_grid(n, twist)
+    return validate(quads, 2 * n,
                     tags=_series_tags("4^4", "torus", n, coords, twist))
 
 
 def _torus_36(n: int, twist: int = -3) -> PolyhedralMap:
-    b = lambda j: j % n
-    m = lambda j: n + (j % n)
+    quads, coords = _torus_grid(n, twist)
     faces = []
-    for j in range(n):
-        faces.append((b(j), b(j + 1), m(j + 1)))
-        faces.append((b(j), m(j + 1), m(j)))
-        faces.append((m(j), m(j + 1), b(j + 1 + twist)))
-        faces.append((m(j), b(j + 1 + twist), b(j + twist)))
-    coords = {b(j): (0, j) for j in range(n)}
-    coords.update({m(j): (1, j) for j in range(n)})
+    for (p, q, r, s) in quads:
+        # diagonal from the first corner of the lower edge
+        faces.append((p, q, r))
+        faces.append((p, r, s))
     return validate(faces, 2 * n,
                     tags=_series_tags("3^6", "torus", n, coords, twist))
 
@@ -240,7 +243,6 @@ def double_cover(m: PolyhedralMap) -> tuple[PolyhedralMap, dict[int, int]]:
     2v + s lies over v; the two sheets at v are the two senses of its fan.
     """
     if euler_characteristic(m) != 0:
-        from .classify import NotFlat
         raise NotFlat("double cover implemented for flat maps only")
     if is_orientable(m):
         raise AlreadyOrientable(
@@ -294,7 +296,6 @@ def verify_covering(cover: PolyhedralMap, base: PolyhedralMap,
         base_keys[key] += 1
     if any(cnt != 2 for cnt in base_keys.values()):
         return False
-    from .core import cyclic_equal
     for w in range(cover.n_vertices):
         lk = cover.link(w)
         image = tuple(proj[u] for u in lk)
@@ -309,8 +310,10 @@ def verify_covering(cover: PolyhedralMap, base: PolyhedralMap,
 
 
 def _grid_info(m: PolyhedralMap):
-    """(surface, n, {vertex: (row, column)}) from a 4^4 series map's tags;
-    NotGridMap when a tag is missing or malformed."""
+    """(surface, n, twist, {vertex: (row, column)}) from a 4^4 series
+    map's tags; NotGridMap when a tag is missing or malformed, or when the
+    coords do not lay out rows 0..R-1 by columns 0..n-1 (R = 2 on the
+    torus, 3 on the Klein bottle)."""
     series = m.tags.get("series")
     try:
         coord = grid_coords(m)
@@ -325,7 +328,14 @@ def _grid_info(m: PolyhedralMap):
                          f"{surface!r}")
     if type(n) is not int or n < 1:
         raise NotGridMap(f"series tag has no positive integer n: {n!r}")
-    return surface, n, coord
+    twist = series.get("twist", -3)
+    if type(twist) is not int:
+        raise NotGridMap(f"series tag has no integer twist: {twist!r}")
+    rows = 2 if surface == "torus" else 3
+    if sorted(coord.values()) != [(r, c) for r in range(rows) for c in range(n)]:
+        raise NotGridMap(f"coords tag does not lay out {rows} rows of "
+                         f"{n} columns")
+    return surface, n, twist, coord
 
 
 def _edge_is_horizontal(coord, u, v, n) -> bool:
@@ -333,36 +343,37 @@ def _edge_is_horizontal(coord, u, v, n) -> bool:
     return (cu - cv) % n in (1, n - 1)
 
 
-def _quad_bands(m: PolyhedralMap, coord, n) -> list[list[int]]:
-    """Closed bands of quads glued along their column-direction edges.
-
-    The two-row torus grid has two bands of n quads; on the Klein grid the
-    row flip splices two of the three layers into one band of 2n quads,
-    leaving the middle band of n.
-    """
-    seen = [False] * m.n_faces
-    bands = []
+def _face_walk(m: PolyhedralMap, rule):
+    """Walk the faces of ``m`` across their edges, where ``rule(u, v)``
+    says what the edge {u, v} does: None, the walk does not cross it; 0,
+    the colour stays; 1, it flips.  Returns (component, colour), each
+    indexed by face with a component named by its least face, or None
+    when some face would need both colours."""
+    component = [-1] * m.n_faces
+    colour = [0] * m.n_faces
     for start in range(m.n_faces):
-        if seen[start]:
+        if component[start] != -1:
             continue
-        band = []
+        component[start] = start
         stack = [start]
-        seen[start] = True
         while stack:
             fi = stack.pop()
-            band.append(fi)
             face = m.faces[fi]
             for i in range(len(face)):
                 u, v = face[i], face[(i + 1) % len(face)]
-                if _edge_is_horizontal(coord, u, v, n):
+                step = rule(u, v)
+                if step is None:
                     continue
                 fa, fb = m.edge_faces(u, v)
                 other = fb if fa == fi else fa
-                if not seen[other]:
-                    seen[other] = True
+                want = colour[fi] ^ step
+                if component[other] == -1:
+                    component[other] = start
+                    colour[other] = want
                     stack.append(other)
-        bands.append(sorted(band))
-    return bands
+                elif colour[other] != want:
+                    return None
+    return component, colour
 
 
 def _oriented_quad(m: PolyhedralMap, coord, n, face):
@@ -393,11 +404,18 @@ def subdivide_layer_diagonals(m: PolyhedralMap) -> PolyhedralMap:
     the three-row Klein series one vertex row never touches a single
     layer, so the output there is a valid map but not semi-equivelar.
     """
-    surface, n, coord = _grid_info(m)
+    surface, n, _twist, coord = _grid_info(m)
     if any(len(f) != 4 for f in m.faces):
         raise NotGridMap("input must be a quadrangulation")
-    bands = _quad_bands(m, coord, n)
-    chosen = min(bands, key=lambda b: (
+    # closed bands of quads glued along their column-direction edges: two
+    # bands of n on the torus grid; on the Klein grid the row flip splices
+    # two of the three layers into one band of 2n, beside a band of n
+    component, _colour = _face_walk(
+        m, lambda u, v: None if _edge_is_horizontal(coord, u, v, n) else 0)
+    bands: dict[int, list[int]] = {}
+    for fi, c in enumerate(component):
+        bands.setdefault(c, []).append(fi)
+    chosen = min(bands.values(), key=lambda b: (
         len(b), sorted(canonical_face(m.faces[fi]) for fi in b)))
     faces = []
     in_layer = set(chosen)
@@ -420,13 +438,10 @@ def subdivide_alternate_diagonals(m: PolyhedralMap) -> PolyhedralMap:
     why the figure for this series carries a twist of -4.  The three-row
     Klein grid has an odd quad cycle along each column; no pattern exists.
     """
-    surface, n, coord = _grid_info(m)
+    surface, n, twist, coord = _grid_info(m)
     if surface != "torus":
         raise ParityError(
             "three stacked quad layers admit no alternating pattern")
-    twist = m.tags["series"].get("twist", -3)
-    if type(twist) is not int:
-        raise NotGridMap(f"series tag has no integer twist: {twist!r}")
     if n % 2:
         raise ParityError(f"column count {n} is odd; alternation cannot close")
     if twist % 2:
@@ -463,14 +478,18 @@ def subdivide_to_3636(m: PolyhedralMap) -> PolyhedralMap:
     per surface (rows on the torus, columns on the Klein bottle with an
     even column count).
     """
-    surface, n, coord = _grid_info(m)
+    surface, n, _twist, coord = _grid_info(m)
     quads = list(m.faces)
     if any(len(f) != 4 for f in quads):
         raise NotGridMap("input must be a quadrangulation")
 
+    # 2-colour the quads: equal across cross edges, opposite across
+    # carrier edges
     for horizontal_carriers in (True, False):
-        coloring = _checkerboard(m, coord, n, horizontal_carriers)
-        if coloring is not None:
+        walk = _face_walk(m, lambda u, v: int(
+            _edge_is_horizontal(coord, u, v, n) == horizontal_carriers))
+        if walk is not None:
+            coloring = walk[1]
             break
     else:
         raise ParityError("no carrier direction admits an alternating "
@@ -554,35 +573,10 @@ def subdivide_to_3636(m: PolyhedralMap) -> PolyhedralMap:
                 hexagon += [ov[(eb_, p)], ov[(ea, p)], bq[fa]]
         faces.append(tuple(hexagon))
 
-    # compact the labels
-    used = sorted({v for f in faces for v in f})
-    remap = {v: i for i, v in enumerate(used)}
-    out_faces = [tuple(remap[v] for v in f) for f in faces]
+    # every fresh label lands in a face (validate rejects one that does
+    # not), so the next one is the vertex count
     tags = {"series": {"family": "3,6,3,6", "surface": surface, "n": n}}
-    return validate(out_faces, len(used), tags=tags)
-
-
-def _checkerboard(m: PolyhedralMap, coord, n, horizontal_carriers: bool):
-    """2-color quads: equal across cross edges, opposite across carrier
-    edges.  Returns the coloring list or None."""
-    color = [-1] * m.n_faces
-    color[0] = 0
-    stack = [0]
-    while stack:
-        fi = stack.pop()
-        face = m.faces[fi]
-        for i in range(len(face)):
-            u, v = face[i], face[(i + 1) % len(face)]
-            fa, fb = m.edge_faces(u, v)
-            other = fb if fa == fi else fa
-            is_carrier = _edge_is_horizontal(coord, u, v, n) == horizontal_carriers
-            want = color[fi] ^ 1 if is_carrier else color[fi]
-            if color[other] == -1:
-                color[other] = want
-                stack.append(other)
-            elif color[other] != want:
-                return None
-    return color
+    return validate(faces, next(fresh), tags=tags)
 
 
 def build_3464_from_312sq(m: PolyhedralMap) -> PolyhedralMap:
@@ -644,9 +638,9 @@ def build_3464_from_312sq(m: PolyhedralMap) -> PolyhedralMap:
         hexagon = (u, ring[(w1, position[(w1, u)])], ring[(w1, position[(w1, v)])],
                    v, ring[(w2, position[(w2, v)])], ring[(w2, position[(w2, u)])])
         faces.append(hexagon)
-    used = sorted({x for f in faces for x in f})
-    remap = {x: i for i, x in enumerate(used)}
-    return validate([tuple(remap[x] for x in f) for f in faces], len(used))
+    # every old vertex keeps its triangle and every fresh label lands in a
+    # face (validate rejects one that does not): the next one is the count
+    return validate(faces, next(fresh))
 
 
 def subdivide_3464_to_346(m: PolyhedralMap) -> PolyhedralMap:

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from .core import (
     FaceSeqType,
     PolyhedralMap,
-    cyclic_equal,
+    canonical_face,
     edge_key,
     euler_characteristic,
     face_edges,
@@ -167,11 +167,12 @@ class _Searcher:
     completely before it changes anything and returns the old fans of the
     face's vertices, from which ``_undo`` reverses the commit.
 
-    ``fast_prunes`` guards the purely-speed prunes: the fan-extension
-    lookahead, the partial face-intersection check and the corner checks
-    during candidate generation, and the forward check of every open edge
-    (``_dead_end``).  The search is complete with or without them, which
-    the test suite cross-checks on small cells.
+    ``fast_prunes`` guards the purely-speed prunes: the corner checks
+    during candidate generation, which are the one fan test before
+    ``_try_face``, the partial face-intersection check, and the forward
+    check of every open edge (``_dead_end``).  The search is complete
+    with or without them, which the test suite cross-checks on small
+    cells.
     """
 
     def __init__(self, t: FaceSeqType, n: int, profile: FaceCountProfile,
@@ -221,7 +222,7 @@ class _Searcher:
                 cyc = tuple(reversed(sizes)) + (size,)
             else:
                 return False
-            if len(cyc) != self.deg or not cyclic_equal(cyc, self.t):
+            if canonical_face(cyc) != self.t:  # self.t is normalised
                 return False
             return None
         # orient the fragment ending at a to end there, the one at b to
@@ -319,15 +320,14 @@ class _Searcher:
             # extend at the end with the smaller neighbour label
             if nbrs[0] <= nbrs[-1]:
                 nbrs, sizes = tuple(reversed(nbrs)), tuple(reversed(sizes))
-            return (v, nbrs[-1], self._allowed(v, nbrs[-1], sizes))
+            return (v, nbrs[-1], self._allowed(sizes))
         return None
 
-    def _allowed(self, v: int, end: int, sizes: tuple[int, ...]) -> list[int]:
-        """Sizes of a face that may glue onto the open edge {v, end}, where
-        ``sizes`` is v's fan fragment ending at ``end``."""
+    def _allowed(self, sizes: tuple[int, ...]) -> list[int]:
+        """Sizes of a face that may glue onto an open edge, where ``sizes``
+        is the fan fragment ending at that edge."""
         return [s for s in sorted(_next_sizes(sizes, self.t))
-                if self.budgets.get(s, 0) > 0
-                and (not self.fast_prunes or self._extension_ok(end, v, s))]
+                if self.budgets.get(s, 0) > 0]
 
     def _dead_end(self, skip: tuple[int, int]) -> bool:
         """Fail first: whether an open edge other than ``skip`` admits no
@@ -364,28 +364,18 @@ class _Searcher:
             if self.budgets[size] > 0 and max(face) < self.n:
                 if all(self.touched[u] <= clock for u in path if u >= 0):
                     return True
-                if size in self._allowed(v, end, sizes) and any(
+                if size in self._allowed(sizes) and any(
                         self._meets_cleanly(f)
                         for f in self._faces([end, v], size, used, face)):
                     self.witnesses[(v, end)] = (path, self.clock)
                     return True
-        for size in self._allowed(v, end, sizes):
+        for size in self._allowed(sizes):
             for face in self._faces([end, v], size, used):
                 if self._meets_cleanly(face):
                     path = tuple(u if u < used else ~(u - used) for u in face)
                     self.witnesses[(v, end)] = (path, self.clock)
                     return True
         return False
-
-    def _extension_ok(self, vertex: int, via: int, size: int) -> bool:
-        """Whether a ``size``-gon can join ``vertex``'s fan across the edge
-        to ``via``.  Valid only when that edge already carries one face."""
-        for nbrs, sizes in self.fragments[vertex] or ():
-            if nbrs[-1] == via:
-                return size in _next_sizes(sizes, self.t)
-            if nbrs[0] == via:
-                return size in _next_sizes(tuple(reversed(sizes)), self.t)
-        return False  # closed fan or saturated interior edge
 
     def _admissible(self, prefix: list[int], cand: int, size: int) -> bool:
         """Whether ``cand`` may follow ``prefix`` in a ``size``-gon."""
@@ -398,12 +388,6 @@ class _Searcher:
             return True
         if len(self.vertex_faces[cand]) >= self.deg:
             return False
-        if uses == 1 and self.fast_prunes:
-            # the new face sits next to the edge's one face in both fans
-            if not self._extension_ok(cand, prev, size):
-                return False
-            if not self._extension_ok(prev, cand, size):
-                return False
         pcount = 0
         for fi in self.vertex_faces[cand]:
             if len(self.faces[fi]) == size:
@@ -436,10 +420,6 @@ class _Searcher:
             return False
         if not self.fast_prunes:
             return True
-        if uses == 1 and last < self.used and (
-                not self._extension_ok(last, end, size)
-                or not self._extension_ok(end, last, size)):
-            return False
         # the two closing corners, at ``last`` and at ``end``
         if last < self.used and self._merged(
                 self.fragments[last], prefix[-2], end, size) is False:

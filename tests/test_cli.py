@@ -22,7 +22,11 @@ FIX = _data_root()
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """Exit code, stdout and stderr of one ``sematlas`` call."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # an unreadable map file exits at once
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -227,8 +231,20 @@ def test_classify_usage_error(capsys):
      "--pin", "0", "99"],
     ["iso", str(FIX / "T_1_10__3-3-3-4-4.map"), str(FIX / "T_1_10__3-3-3-4-4.map"),
      "--pin", "-1", "3"],
+    # every subcommand that reads a map, on a missing and a non-UTF-8 file
+    *([*cmd, bad] for bad in ("{missing}", "{non-utf-8}") for cmd in (
+        ["validate"],
+        ["invariants"],
+        ["iso", str(FIX / "T_1_10__3-3-3-4-4.map")],
+        ["derive", "--ops", "dual"],
+        ["export"],
+        ["cover"],
+    )),
 ])
-def test_usage_errors_exit_2_with_one_line(capsys, argv):
+def test_usage_errors_exit_2_with_one_line(capsys, tmp_path, argv):
+    (tmp_path / "non-utf-8.map").write_bytes(b"\xff\xfe semmap 1\n")
+    argv = [str(tmp_path / f"{a[1:-1]}.map") if a.startswith("{") else a
+            for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
@@ -333,8 +349,13 @@ def test_malformed_coords_or_twist_is_not_a_grid_map(tmp_path, capsys):
     assert_one_error_line(code, out, err, "NotGridMap")
 
     series = {"family": "4^4", "surface": "torus", "n": 8, "twist": "x"}
-    m, path = retagged_grid(tmp_path, twist=-4, series=series)
-    with pytest.raises(NotGridMap):
-        subdivide_alternate_diagonals(m)
-    code, out, err = run(capsys, "derive", "--ops", "subdivide-alternate", path)
-    assert_one_error_line(code, out, err, "NotGridMap")
+    coords = retagged_grid(tmp_path, twist=-4)[0].tags["coords"]
+    # well-typed coords off the grid's rows 0..1 and columns 0..n-1
+    for tags in ({"series": series},
+                 {"coords": {v: [5, c] for v, (_r, c) in coords.items()}},
+                 {"coords": {v: [r, c + 3] for v, (r, c) in coords.items()}}):
+        m, path = retagged_grid(tmp_path, twist=-4, **tags)
+        with pytest.raises(NotGridMap):
+            subdivide_alternate_diagonals(m)
+        code, out, err = run(capsys, "derive", "--ops", "subdivide-alternate", path)
+        assert_one_error_line(code, out, err, "NotGridMap")

@@ -1,9 +1,10 @@
-"""Byte-level pins of the flag walks on the atlas maps.
+"""Byte-level pins of the flag walks and the grid operators.
 
-The other tests check that results are invariant under relabeling; this one
-pins the exact outputs (canonical relabelings, isomorphism mappings, fan and
-link start points and senses, derived semmap texts), so a rewrite of the
-flag walks must reproduce them byte for byte.
+The other tests check that results are invariant under relabeling; these
+pin the exact outputs (canonical relabelings, isomorphism mappings, fan and
+link start points and senses, derived semmap texts, face orders), so a
+rewrite of the flag walks or of the grid constructions must reproduce them
+byte for byte.
 """
 
 import hashlib
@@ -12,9 +13,11 @@ import random
 from sematlas import constructions, semmap
 from sematlas.atlas import fixture_catalog, load_fixture
 from sematlas.classify import canonical_form, find_isomorphism
+from sematlas.constructions import SeriesParams, equivelar_series
 from sematlas.core import is_orientable
 
 GOLDEN_SHA256 = "e292dea90b71c1f927d0194c0c0e393e464543950c0f4f765a69c493e1eacaf5"
+GRID_SHA256 = "f3bd259ed92c0c26fe20af73d23c5128e06d6e0bc3a962ed06debbc72f1edc8e"
 
 
 def _records():
@@ -41,3 +44,38 @@ def test_flag_walk_outputs_are_pinned():
     for rec in _records():
         h.update(rec.encode() + b"\n")
     assert h.hexdigest() == GOLDEN_SHA256
+
+
+def _series():
+    """Every series build for n = 3..16, torus twists -7..7."""
+    for n in range(3, 17):
+        for surface, fam in (("torus", "6^3"), ("klein_bottle", "3^6"),
+                             ("klein_bottle", "4^4"), ("klein_bottle", "6^3")):
+            yield SeriesParams(fam, surface, n)
+        for twist in range(-7, 8):
+            for fam in ("3^6", "4^4"):
+                yield SeriesParams(fam, "torus", n, twist=twist)
+
+
+def _outcome(build, arg):
+    """The built map, or the name of the typed error it raised."""
+    try:
+        return build(arg)
+    except ValueError as exc:
+        return type(exc).__name__
+
+
+def test_grid_operator_outputs_are_pinned():
+    # face order is pinned too: dual and truncate label their output by it
+    h = hashlib.sha256()
+    for params in _series():
+        outs = [_outcome(equivelar_series, params)]
+        if params.family == "4^4" and not isinstance(outs[0], str):
+            outs += [_outcome(op, outs[0]) for op in (
+                constructions.subdivide_layer_diagonals,
+                constructions.subdivide_alternate_diagonals,
+                constructions.subdivide_to_3636)]
+        for m in outs:
+            rec = m if isinstance(m, str) else semmap.serialize(m) + repr(m.faces)
+            h.update(f"{params} {rec}\n".encode())
+    assert h.hexdigest() == GRID_SHA256
