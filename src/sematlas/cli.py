@@ -31,7 +31,13 @@ from .classify import (
     homological_systole,
     is_vertex_transitive,
 )
-from .enumeration import ALL_FLAT_TYPES, BudgetExceeded, classify_all, enumerate_sems
+from .enumeration import (
+    ALL_FLAT_TYPES,
+    BadBudget,
+    BudgetExceeded,
+    classify_all,
+    enumerate_sems,
+)
 from . import constructions as cons
 from .export import SvgUnsupported, to_dot, to_svg
 
@@ -42,8 +48,7 @@ def _load(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        raise OSError(f"cannot read {path}: {exc}") from exc
     return semmap.parse(text)
 
 
@@ -421,7 +426,7 @@ def main(argv=None) -> int:
             cons.NotTruncation, SvgUnsupported) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, BadBudget) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

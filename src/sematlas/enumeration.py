@@ -59,6 +59,10 @@ class BudgetExceeded(RuntimeError):
     """Search node budget ran out before the cell was exhausted."""
 
 
+class BadBudget(ValueError):
+    """SEM_ATLAS_BUDGET holds something other than a non-negative integer."""
+
+
 class SearchInvariantError(RuntimeError):
     """A check on the search or its results failed: a defect, not bad input."""
 
@@ -159,20 +163,23 @@ def _next_sizes(sizes: tuple[int, ...], t: tuple[int, ...]) -> frozenset[int]:
 
 
 class _Searcher:
-    """Depth-first search state; a face is committed whole or not at all.
+    """Depth-first search state with one acceptance test per face.
 
     Each vertex's fan is an immutable tuple of open fragments, each a
     (neighbours, sizes) pair of tuples; ``()`` before any face meets the
-    vertex and None once its fan closes.  ``_try_face`` checks a face
-    completely before it changes anything and returns the old fans of the
-    face's vertices, from which ``_undo`` reverses the commit.
+    vertex and None once its fan closes.  ``_new_fans`` decides, without
+    changing anything, whether a face may be committed: it meets every
+    committed face cleanly and every corner's fan merge (``_merged``)
+    accepts it.  ``_faces`` yields only such faces, so ``_commit`` cannot
+    fail; it returns the old fans of the face's vertices, from which
+    ``_undo`` reverses it.
 
     ``fast_prunes`` guards the purely-speed prunes: the corner checks
-    during candidate generation, which are the one fan test before
-    ``_try_face``, the partial face-intersection check, and the forward
-    check of every open edge (``_dead_end``).  The search is complete
-    with or without them, which the test suite cross-checks on small
-    cells.
+    during candidate generation, the partial face-intersection check, and
+    the forward check of every open edge (``_dead_end``).  Without them
+    ``_faces`` runs ``_new_fans`` on each complete candidate.  The search
+    is complete with or without them, which the test suite cross-checks
+    on small cells.
     """
 
     def __init__(self, t: FaceSeqType, n: int, profile: FaceCountProfile,
@@ -193,11 +200,9 @@ class _Searcher:
         self.budgets = {size: cnt for size, cnt in profile.counts}
         self.results: list[PolyhedralMap] = []
         self.seen_forms: set[bytes] = set()
-        #: open edge (v, end) -> (the last face found to fill it, clock)
-        self.witnesses: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
-        #: commits and undos so far; the count at each vertex's last one
-        self.clock = 0
-        self.touched = [0] * n
+        #: open edge (v, end) -> the last face found to fill it, fresh
+        #: labels stored as offsets ~k from ``used``
+        self.witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
 
     # -- fans and faces --
 
@@ -214,17 +219,9 @@ class _Searcher:
             if nbrs[0] == b or nbrs[-1] == b:
                 ib = i
         if ia != -1 and ia == ib:
-            nbrs, sizes = frags[ia]
-            # the corner joins the two ends of one fragment: the fan closes
-            if nbrs[-1] == a and nbrs[0] == b:
-                cyc = sizes + (size,)
-            elif nbrs[0] == a and nbrs[-1] == b:
-                cyc = tuple(reversed(sizes)) + (size,)
-            else:
-                return False
-            if canonical_face(cyc) != self.t:  # self.t is normalised
-                return False
-            return None
+            # the corner joins the two ends of one fragment: the fan closes,
+            # and its cycle of sizes must be the type (self.t is normalised)
+            return None if canonical_face(frags[ia][1] + (size,)) == self.t else False
         # orient the fragment ending at a to end there, the one at b to
         # start there; a missing one is the bare neighbour
         nbrs_a, sizes_a = frags[ia] if ia != -1 else ((a,), ())
@@ -234,13 +231,16 @@ class _Searcher:
         if nbrs_b[-1] == b:
             nbrs_b, sizes_b = tuple(reversed(nbrs_b)), tuple(reversed(sizes_b))
         sizes = sizes_a + (size,) + sizes_b
-        # prune: the fragments must still fit the cyclic type (the others
-        # passed this check when they were made)
+        # the new fragment must fit the cyclic type (the others passed
+        # this check when they were made), the fragments together must
+        # leave a face between each two, and no size may outnumber its
+        # multiplicity in the type
         if not _embeddings(sizes, self.t):
             return False
         out = tuple(f for i, f in enumerate(frags) if i not in (ia, ib))
         out += ((nbrs_a + nbrs_b, sizes),)
-        if sum(len(s) for _nbrs, s in out) + len(out) > self.deg:
+        flat = [s for _nbrs, run in out for s in run]
+        if len(flat) + len(out) > self.deg or flat.count(size) > self.t.count(size):
             return False
         return out
 
@@ -265,19 +265,24 @@ class _Searcher:
                 return False
         return all(self.edge_uses.get(e, 0) < 2 for e in edges)
 
-    def _try_face(self, face: tuple[int, ...]) -> Optional[tuple]:
-        """Commit ``face`` if every incremental condition holds; return the
-        old fans of its vertices, or None with nothing changed."""
+    def _new_fans(self, face: tuple[int, ...]) -> Optional[list]:
+        """The fans of ``face``'s vertices once it is committed, or None
+        when it may not be.  The one acceptance test; it changes nothing."""
         if not self._meets_cleanly(face):
             return None
         p = len(face)
-        old = tuple(self.fragments[v] for v in face)
         new = []
-        for i, frags in enumerate(old):
-            frags = self._merged(frags, face[i - 1], face[(i + 1) % p], p)
+        for i, v in enumerate(face):
+            frags = self._merged(self.fragments[v], face[i - 1], face[(i + 1) % p], p)
             if frags is False:
                 return None
             new.append(frags)
+        return new
+
+    def _commit(self, face: tuple[int, ...], fans: list) -> tuple:
+        """Commit ``face`` with the fans ``_new_fans`` gave it; return the
+        old fans of its vertices."""
+        old = tuple(self.fragments[v] for v in face)
         fid = len(self.faces)
         self.faces.append(face)
         self.face_sets.append(frozenset(face))
@@ -285,16 +290,14 @@ class _Searcher:
         self.edge_sets.append(edges)
         for e in edges:
             self.edge_uses[e] = self.edge_uses.get(e, 0) + 1
-        self.clock += 1
-        for v, frags in zip(face, new):
+        for v, frags in zip(face, fans):
             self.vertex_faces[v].append(fid)
             self.fragments[v] = frags
-            self.touched[v] = self.clock
         return old
 
     def _undo(self, face: tuple[int, ...], old: tuple) -> None:
         """Reverse the commit of ``face``, the last face committed, given
-        the old fans ``_try_face`` returned."""
+        the old fans ``_commit`` returned."""
         self.faces.pop()
         self.face_sets.pop()
         for e in self.edge_sets.pop():
@@ -302,32 +305,40 @@ class _Searcher:
                 del self.edge_uses[e]
             else:
                 self.edge_uses[e] -= 1
-        self.clock += 1
         for v, frags in zip(face, old):
             self.vertex_faces[v].pop()
             self.fragments[v] = frags
-            self.touched[v] = self.clock
 
     # -- slot selection and candidate generation --
 
-    def _open_vertex(self) -> Optional[tuple[int, int, tuple[int, ...]]]:
-        """Least open vertex, its chosen open end, and allowed next sizes."""
+    def _open_vertex(self) -> Optional[tuple[int, int]]:
+        """Least open vertex and its chosen open end."""
         for v in range(self.used):
             frags = self.fragments[v]
             if not frags:
                 continue
-            nbrs, sizes = min(frags)
+            nbrs, _sizes = min(frags)
             # extend at the end with the smaller neighbour label
-            if nbrs[0] <= nbrs[-1]:
-                nbrs, sizes = tuple(reversed(nbrs)), tuple(reversed(sizes))
-            return (v, nbrs[-1], self._allowed(sizes))
+            return (v, min(nbrs[0], nbrs[-1]))
         return None
 
-    def _allowed(self, sizes: tuple[int, ...]) -> list[int]:
-        """Sizes of a face that may glue onto an open edge, where ``sizes``
-        is the fan fragment ending at that edge."""
-        return [s for s in sorted(_next_sizes(sizes, self.t))
-                if self.budgets.get(s, 0) > 0]
+    def _run(self, v: int, end: int) -> tuple[int, ...]:
+        """Sizes of the fragment of ``v``'s fan that ends at ``end``, in
+        order towards ``end``."""
+        for nbrs, sizes in self.fragments[v]:
+            if nbrs[-1] == end:
+                return sizes
+            if nbrs[0] == end:
+                return sizes[::-1]
+        raise SearchInvariantError(f"{v}-{end} is no open edge")
+
+    def _allowed(self, v: int, end: int) -> list[int]:
+        """Sizes of a face that may glue onto the open edge {v, end}: the
+        fragments ending at the edge, at both of its ends, must extend by
+        the size, and the size must have budget left."""
+        both = (_next_sizes(self._run(v, end), self.t)
+                & _next_sizes(self._run(end, v), self.t))
+        return [s for s in sorted(both) if self.budgets[s] > 0]
 
     def _dead_end(self, skip: tuple[int, int]) -> bool:
         """Fail first: whether an open edge other than ``skip`` admits no
@@ -335,105 +346,82 @@ class _Searcher:
         uses, fans and faces only grow, fresh labels are interchangeable),
         so such an edge stays unfillable and the node has no completion."""
         for v in range(self.used):
-            for nbrs, sizes in self.fragments[v] or ():
-                for end, run in ((nbrs[-1], sizes), (nbrs[0], sizes[::-1])):
+            for nbrs, _sizes in self.fragments[v] or ():
+                for end in (nbrs[-1], nbrs[0]):
                     # each open edge once, from its smaller vertex
-                    if end > v and (v, end) != skip and not self._fillable(v, end, run):
+                    if end > v and (v, end) != skip and not self._fillable(v, end):
                         return True
         return False
 
-    def _fillable(self, v: int, end: int, sizes: tuple[int, ...]) -> bool:
-        """Whether ``_try_face`` would accept some face that ``_faces``
-        gives for the open edge {v, end}.  Such a face has passed its
-        corner checks there, so ``_meets_cleanly`` decides.
+    def _fillable(self, v: int, end: int) -> bool:
+        """Whether ``_faces`` gives some face for the open edge {v, end}.
 
-        The edge keeps the last such face as its witness, with fresh labels
-        stored as offsets ~k from ``used``, and the clock of that check.
-        The verdict on a face reads only its size's budget, the number of
-        free labels and the state of its old vertices, so a witness none of
-        whose old vertices a commit or undo has touched since is alive as
-        it stands.  Otherwise ``_faces`` replays it, so it lives exactly
-        when the search would give it now, and the candidates are searched
-        again only when it has died."""
+        The edge keeps the last face found as its witness.  The witness
+        is alive exactly when ``_new_fans`` accepts it now, its fresh
+        labels (offsets from ``used``) distinct and below ``n`` and its
+        size with budget left.  Fresh labels are interchangeable, so that
+        is the verdict of searching the edge anew, which happens only
+        when the witness has died."""
         used = self.used
-        entry = self.witnesses.get((v, end))
-        if entry is not None:
-            path, clock = entry
+        path = self.witnesses.get((v, end))
+        if path is not None:
             face = tuple(u if u >= 0 else used + ~u for u in path)
-            size = len(face)
-            if self.budgets[size] > 0 and max(face) < self.n:
-                if all(self.touched[u] <= clock for u in path if u >= 0):
-                    return True
-                if size in self._allowed(sizes) and any(
-                        self._meets_cleanly(f)
-                        for f in self._faces([end, v], size, used, face)):
-                    self.witnesses[(v, end)] = (path, self.clock)
-                    return True
-        for size in self._allowed(sizes):
+            if (max(face) < self.n and len(set(face)) == len(face)
+                    and self.budgets[len(face)] > 0
+                    and self._new_fans(face) is not None):
+                return True
+        for size in self._allowed(v, end):
             for face in self._faces([end, v], size, used):
-                if self._meets_cleanly(face):
-                    path = tuple(u if u < used else ~(u - used) for u in face)
-                    self.witnesses[(v, end)] = (path, self.clock)
-                    return True
+                self.witnesses[(v, end)] = tuple(
+                    u if u < used else ~(u - used) for u in face)
+                return True
         return False
 
-    def _admissible(self, prefix: list[int], cand: int, size: int) -> bool:
-        """Whether ``cand`` may follow ``prefix`` in a ``size``-gon."""
-        prev = prefix[-1]
-        e = edge_key(prev, cand)
-        uses = self.edge_uses.get(e, 0)
-        if uses >= 2:
+    def _admissible(self, prefix: list[int], cand: int) -> bool:
+        """Whether ``cand`` may follow ``prefix`` in a face."""
+        if self.edge_uses.get(edge_key(prefix[-1], cand), 0) >= 2:
             return False
         if cand >= self.used:
             return True
-        if len(self.vertex_faces[cand]) >= self.deg:
-            return False
-        pcount = 0
-        for fi in self.vertex_faces[cand]:
-            if len(self.faces[fi]) == size:
-                pcount += 1
-            if not self.fast_prunes:
-                continue
-            # partial face-intersection check: once two shared vertices
-            # sit at non-adjacent prefix positions (interior), the faces
-            # can never meet in just an edge
-            fs = self.face_sets[fi]
-            others = [i for i, u in enumerate(prefix) if u in fs]
-            if not others:
-                continue
-            if len(others) >= 2:
-                return False
-            i = others[0]
-            j = len(prefix)
-            if i == j - 1:
-                if edge_key(prefix[i], cand) not in self.edge_sets[fi]:
-                    return False
-            elif i != 0:
-                return False
-        return pcount < self.t.count(size)
-
-    def _closes(self, prefix: list[int], size: int) -> bool:
-        """Whether the full ``prefix`` may close into a face."""
-        last, end = prefix[-1], prefix[0]
-        uses = self.edge_uses.get(edge_key(last, end), 0)
-        if uses >= 2:
+        if self.fragments[cand] is None:
             return False
         if not self.fast_prunes:
             return True
-        # the two closing corners, at ``last`` and at ``end``
+        last = len(prefix) - 1
+        for fi in self.vertex_faces[cand]:
+            # partial face-intersection check: a committed face through
+            # cand may meet the face in one more vertex only, the prefix's
+            # last along an edge of both, or its first, where it may close
+            fs = self.face_sets[fi]
+            others = [i for i, u in enumerate(prefix) if u in fs]
+            if len(others) > 1 or others and others[0] not in (0, last):
+                return False
+            if others == [last] and edge_key(prefix[last], cand) not in self.edge_sets[fi]:
+                return False
+        return True
+
+    def _closes(self, prefix: list[int], size: int) -> bool:
+        """Whether the full ``prefix`` may close into a face that
+        ``_new_fans`` accepts."""
+        face = tuple(prefix)
+        if not self.fast_prunes:
+            return self._new_fans(face) is not None
+        # the other corners passed while the prefix grew; the two closing
+        # corners, at ``last`` and at ``end``, remain
+        last, end = prefix[-1], prefix[0]
         if last < self.used and self._merged(
                 self.fragments[last], prefix[-2], end, size) is False:
             return False
-        return self._merged(self.fragments[end], last, prefix[1], size) is not False
+        if self._merged(self.fragments[end], last, prefix[1], size) is False:
+            return False
+        return self._meets_cleanly(face)
 
-    def _faces(self, prefix: list[int], size: int, used_now: int,
-               path: Optional[tuple[int, ...]] = None):
-        """Yield the completions of the face cycle (end, v, w, x1, ...,
-        x_{size-3}) that ``prefix`` begins, in lexicographic order, fresh
-        labels taking the least unused.  Given ``path``, a face starting
-        with ``prefix``, yield only ``path``, and only if it is among them.
-        A method rather than a self-calling closure, so a call leaves no
-        reference cycle behind."""
+    def _faces(self, prefix: list[int], size: int, used_now: int):
+        """Yield the faces that may be committed among the completions of
+        the face cycle (end, v, w, x1, ..., x_{size-3}) that ``prefix``
+        begins, in lexicographic order, fresh labels taking the least
+        unused.  A method rather than a self-calling closure, so a call
+        leaves no reference cycle behind."""
         if len(prefix) == size:
             if self._closes(prefix, size):
                 yield tuple(prefix)
@@ -443,25 +431,24 @@ class _Searcher:
         prev, ends = prefix[-1], ()
         if self.fast_prunes and prev < self.used:
             # fail first: the next vertex fixes the corner a-prev-cand,
-            # which is then ``_try_face``'s verdict (each corner of a face
-            # sits at its own vertex).  Every cand ending no fragment of
-            # prev's fan gets the verdict of ``self.n``, which is no vertex.
+            # which is then ``_new_fans``'s verdict there (each corner of
+            # a face sits at its own vertex).  Every cand ending no
+            # fragment of prev's fan gets the verdict of ``self.n``, which
+            # is no vertex.
             frags, a = self.fragments[prev], prefix[-2]
             ends = {u for nbrs, _sizes in frags for u in (nbrs[0], nbrs[-1])}
             ends.discard(a)
             if self._merged(frags, a, self.n, size) is False:
                 cands = sorted(u for u in ends if u < cap)
-        if path is not None:
-            cands = [path[len(prefix)]] if path[len(prefix)] in cands else []
         for cand in cands:
             if cand in prefix:
                 continue
-            if not self._admissible(prefix, cand, size):
+            if not self._admissible(prefix, cand):
                 continue
             if cand in ends and self._merged(frags, a, cand, size) is False:
                 continue
             prefix.append(cand)
-            yield from self._faces(prefix, size, max(used_now, cand + 1), path)
+            yield from self._faces(prefix, size, max(used_now, cand + 1))
             prefix.pop()
 
     # -- main recursion --
@@ -490,8 +477,10 @@ class _Searcher:
             self.budgets[len(f)] -= 1
             if self.budgets[len(f)] < 0:
                 raise SearchInvariantError("star exceeds face budget")
-            if self._try_face(f) is None:
+            fans = self._new_fans(f)
+            if fans is None:
                 raise SearchInvariantError("canonical star must glue cleanly")
+            self._commit(f, fans)
 
     def _recurse(self) -> None:
         self.nodes += 1
@@ -505,23 +494,21 @@ class _Searcher:
         if slot is None:
             self._emit_if_complete()
             return
-        v, end, allowed = slot
-        if self.fast_prunes and self._dead_end((v, end)):
+        v, end = slot
+        if self.fast_prunes and self._dead_end(slot):
             return
-        for size in allowed:
+        for size in self._allowed(v, end):
             # drawn up front: the recursion below commits and undoes faces
             for face in list(self._faces([end, v], size, self.used)):
+                old_used = self.used
                 # fresh labels inside the face advance the used counter
-                new_used = max(self.used, 1 + max(face))
+                self.used = max(old_used, 1 + max(face))
                 self.budgets[size] -= 1
-                old = self._try_face(face)
-                if old is not None:
-                    old_used = self.used
-                    self.used = new_used
-                    self._recurse()
-                    self.used = old_used
-                    self._undo(face, old)
+                old = self._commit(face, self._new_fans(face))
+                self._recurse()
+                self._undo(face, old)
                 self.budgets[size] += 1
+                self.used = old_used
 
     def _emit_if_complete(self) -> None:
         if self.used != self.n:
@@ -541,6 +528,8 @@ class _Searcher:
 
 def _env_budget() -> Optional[int]:
     raw = os.environ.get(BUDGET_ENV)
+    if raw and not raw.isdecimal():
+        raise BadBudget(f"{BUDGET_ENV}={raw!r} is not a non-negative integer")
     return int(raw) if raw else None
 
 
@@ -550,14 +539,17 @@ def enumerate_sems(t: FaceSeqType, n: int,
 
     Deterministic: repeated runs return identical maps in identical order.
     ``budget`` (or the SEM_ATLAS_BUDGET environment variable) caps the
-    number of search nodes; exceeding it raises BudgetExceeded.
+    number of search nodes; exceeding it raises BudgetExceeded, and a
+    malformed variable BadBudget.
     """
+    if budget is None:
+        budget = _env_budget()
     profile = face_counts(t, n)
     if isinstance(profile, Infeasible):
         return []
     if n < star_vertex_bound(t):
         return []
-    searcher = _Searcher(t, n, profile, budget if budget is not None else _env_budget())
+    searcher = _Searcher(t, n, profile, budget)
     searcher.run()
     return searcher.results
 
@@ -581,8 +573,10 @@ def classify_all(n_max: int, types: Optional[Sequence[FaceSeqType]] = None,
 
     A type the gate rejects for every n gets one row with the reason.  Rows
     come sorted by (type, n).  ``jobs > 1`` searches the cells in that many
-    processes; the rows are the same either way.
+    processes; the rows are the same either way.  SEM_ATLAS_BUDGET is read
+    once, before any cell is searched.
     """
+    budget = _env_budget()
     rows: list[ReportRow] = []
     cells: list[tuple[FaceSeqType, int]] = []
     for t in (types if types is not None else ALL_FLAT_TYPES):
@@ -595,9 +589,9 @@ def classify_all(n_max: int, types: Optional[Sequence[FaceSeqType]] = None,
         import multiprocessing  # here, not at the top: the import costs start-up time
 
         with multiprocessing.Pool(jobs) as pool:
-            results = pool.starmap(enumerate_sems, cells)
+            results = pool.starmap(enumerate_sems, [(t, n, budget) for t, n in cells])
     else:
-        results = [enumerate_sems(t, n) for t, n in cells]
+        results = [enumerate_sems(t, n, budget) for t, n in cells]
     for (t, n), maps in zip(cells, results):
         for m in maps:
             chi = euler_characteristic(m)

@@ -23,10 +23,7 @@ FIX = _data_root()
 
 def run(capsys, *argv):
     """Exit code, stdout and stderr of one ``sematlas`` call."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # an unreadable map file exits at once
-        code = exc.code
+    code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -44,9 +41,7 @@ def test_validate_rejects(tmp_path, capsys):
 
 
 def test_validate_missing_file(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["validate", "no-such-file.map"])
-    assert exc.value.code == 2
+    assert main(["validate", "no-such-file.map"]) == 2
 
 
 def test_invariants_json(capsys):
@@ -205,6 +200,19 @@ def test_env_budget_caps_search(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("SEM_ATLAS_BUDGET")
     code, out, _ = run(capsys, "enumerate", "--type", "3,3,3,4,4", "--n", "12")
     assert code == 0 and "5 map(s)" in out
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1", "1.5"])
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--type", "3,3,3,4,4", "--n", "10"],
+    ["classify", "--max-vertices", "10", "--jobs", "1"],
+    ["classify", "--max-vertices", "10", "--jobs", "2"],
+])
+def test_malformed_env_budget_is_a_usage_error(capsys, monkeypatch, argv, raw):
+    monkeypatch.setenv("SEM_ATLAS_BUDGET", raw)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: SEM_ATLAS_BUDGET={raw!r} is not a non-negative integer\n"
 
 
 def test_iso_pin(capsys):

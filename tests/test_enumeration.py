@@ -178,15 +178,25 @@ class TestPruneSoundness:
         assert results[True] == results[False]
 
 
+def test_corner_check_counts_sizes():
+    """Each fragment alone fits (3,3,3,4,4), but together they would give
+    the vertex a third quad, so the corner is refused."""
+    from sematlas.enumeration import _Searcher
+
+    s = _Searcher(T334, 10, face_counts(T334, 10), None)
+    assert s._merged((((5, 1, 6), (4, 4)),), 2, 9, 4) is False
+    assert s._merged((((5, 1, 6), (4, 4)),), 2, 9, 3)
+
+
 #: (type, n) -> (search nodes, classes) for every flat-type cell with
 #: n <= 16.  A refactor of the search must leave it as it is; a prune
 #: change alters it on purpose.
 SEARCH_TREE = {
     ((3, 3, 3, 4, 4), 8): (4, 0),
     ((3, 3, 3, 4, 4), 10): (41, 2),
-    ((3, 3, 3, 4, 4), 12): (148, 5),
-    ((3, 3, 3, 4, 4), 14): (312, 3),
-    ((3, 3, 3, 4, 4), 16): (688, 7),
+    ((3, 3, 3, 4, 4), 12): (139, 5),
+    ((3, 3, 3, 4, 4), 14): (255, 3),
+    ((3, 3, 3, 4, 4), 16): (548, 7),
     ((3, 3, 4, 3, 4), 8): (1, 0),
     ((3, 3, 4, 3, 4), 10): (40, 0),
     ((3, 3, 4, 3, 4), 12): (147, 1),

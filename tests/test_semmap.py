@@ -1,4 +1,9 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -6,6 +11,8 @@ from hypothesis import given, settings
 
 from sematlas import semmap
 from sematlas.atlas import _data_root
+from sematlas.cli import main
+from sematlas.constructions import SeriesParams, equivelar_series
 from sematlas.core import InvalidMapError, PolyhedralMap
 
 
@@ -116,3 +123,68 @@ def test_mutated_atlas_semmaps_raise_only_typed_errors(text):
         semmap.parse(text)
     except (semmap.SemmapFormatError, InvalidMapError):
         pass
+
+
+#: The 4^4 grid maps whose ``series`` (with its ``twist``) and ``coords``
+#: tags the grid operators and the SVG export read.
+GRIDS = [equivelar_series(SeriesParams("4^4", surface, n, twist=twist))
+         for surface, n, twist in (("torus", 7, None), ("torus", 8, -4),
+                                   ("klein_bottle", 8, None))]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**9, 10**9)
+    | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4)
+
+
+@st.composite
+def mutated_grid(draw):
+    """A 4^4 grid map with a few keys of its tag objects dropped or set
+    to an arbitrary JSON value: the series or coords tag itself, a series
+    key (often ``twist``), a vertex of ``coords`` or one of its entries."""
+    grid = draw(st.sampled_from(GRIDS))
+    tags = copy.deepcopy(grid.tags)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        where = draw(st.sampled_from(["tags", "series", "twist", "coords", "entry"]))
+        series, coords = tags.get("series"), tags.get("coords")
+        if where == "tags":
+            obj, key = tags, draw(st.sampled_from(["series", "coords"]))
+        elif where in ("series", "twist") and isinstance(series, dict):
+            obj = series
+            key = "twist" if where == "twist" or not series else draw(
+                st.sampled_from(sorted(series)))
+        elif where in ("coords", "entry") and isinstance(coords, dict) and coords:
+            obj, key = coords, draw(st.sampled_from(sorted(coords)))
+            if where == "entry" and isinstance(obj[key], list) and obj[key]:
+                obj, key = obj[key], draw(st.integers(0, len(obj[key]) - 1))
+        else:
+            continue
+        if draw(st.booleans()):
+            with contextlib.suppress(KeyError):  # a twist the map lacks
+                del obj[key]
+        else:
+            obj[key] = draw(JSON_VALUES)
+    return PolyhedralMap(grid.n_vertices, grid.faces, tags=tags)
+
+
+@given(mutated_grid())
+@settings(max_examples=100, deadline=None)
+def test_mutated_grid_tags_give_only_typed_errors(m):
+    """The grid operators and the SVG export turn any malformed tag into
+    an exit code of the documented kind, with one ``error:`` line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "grid.map")
+        semmap.save(m, path)
+        for argv in (*(["derive", "--ops", op, path] for op in (
+                "subdivide-layer", "subdivide-alternate", "subdivide-3636")),
+                     ["export", "--format", "svg", path]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2)
+            if code:
+                assert err.getvalue().startswith("error: ")
+                assert len(err.getvalue().splitlines()) == 1
