@@ -4,9 +4,10 @@ The search mirrors the by-hand case analysis that classifies small maps:
 fix one canonical closed fan around vertex 0, then repeatedly pick the
 least vertex whose fan is still open and try every face that can extend
 it, with fresh vertices always taking the least unused label.  Pruning
-uses the exact per-size face budgets, the edge-in-two-faces rule, the
-pairwise face-intersection condition, and the requirement that every
-partial fan embeds consecutively in the target cyclic type; it fails
+uses the exact per-size face budgets and each vertex's fan: no vertex
+may appear twice on its link, which is at once the edge-in-two-faces
+rule and the pairwise face-intersection condition, and every partial
+fan must embed consecutively in the target cyclic type.  It fails
 first, checking each corner as soon as a candidate face fixes it and
 cutting a node when any open edge admits no face at all.  Survivors
 are deduplicated by canonical form, so the output lists every map of the
@@ -25,9 +26,7 @@ from .core import (
     FaceSeqType,
     PolyhedralMap,
     canonical_face,
-    edge_key,
     euler_characteristic,
-    face_edges,
     is_orientable,
     is_semi_equivelar,
 )
@@ -166,20 +165,24 @@ class _Searcher:
     """Depth-first search state with one acceptance test per face.
 
     Each vertex's fan is an immutable tuple of open fragments, each a
-    (neighbours, sizes) pair of tuples; ``()`` before any face meets the
-    vertex and None once its fan closes.  ``_new_fans`` decides, without
-    changing anything, whether a face may be committed: it meets every
-    committed face cleanly and every corner's fan merge (``_merged``)
-    accepts it.  ``_faces`` yields only such faces, so ``_commit`` cannot
-    fail; it returns the old fans of the face's vertices, from which
-    ``_undo`` reverses it.
+    (link path, sizes) pair of tuples: the path runs neighbour, the far
+    vertices of a face, neighbour, and so on around the vertex, so its
+    two ends are the fragment's open neighbours.  A fan is ``()`` before
+    any face meets the vertex and None once it closes.  ``_new_fans``
+    decides, without changing anything, whether a face may be committed:
+    every corner's fan merge (``_merged``) accepts it.  No vertex may
+    appear twice on a link, so the merge alone decides how faces
+    intersect and how many faces hold an edge.  ``_faces`` yields only
+    such faces, so ``_commit`` cannot fail; it returns the old fans of
+    the face's vertices, from which ``_undo`` reverses it.
 
     ``fast_prunes`` guards the purely-speed prunes: the corner checks
-    during candidate generation, the partial face-intersection check, and
-    the forward check of every open edge (``_dead_end``).  Without them
-    ``_faces`` runs ``_new_fans`` on each complete candidate.  The search
-    is complete with or without them, which the test suite cross-checks
-    on small cells.
+    during candidate generation, the test of each candidate vertex's
+    link paths against the face built so far, and the forward check of
+    every open edge (``_dead_end``).  Without them ``_faces`` runs
+    ``_new_fans`` on each complete candidate.  The search is complete
+    with or without them, which the test suite cross-checks on small
+    cells.
     """
 
     def __init__(self, t: FaceSeqType, n: int, profile: FaceCountProfile,
@@ -191,10 +194,6 @@ class _Searcher:
         self.fast_prunes = fast_prunes
         self.nodes = 0
         self.faces: list[tuple[int, ...]] = []
-        self.face_sets: list[frozenset[int]] = []
-        self.edge_sets: list[frozenset[tuple[int, int]]] = []
-        self.edge_uses: dict[tuple[int, int], int] = {}
-        self.vertex_faces: list[list[int]] = [[] for _ in range(n)]
         self.fragments: list[Optional[tuple]] = [()] * n
         self.used = 0
         self.budgets = {size: cnt for size, cnt in profile.counts}
@@ -206,17 +205,29 @@ class _Searcher:
 
     # -- fans and faces --
 
-    def _merged(self, frags: Optional[tuple], a: int, b: int, size: int):
-        """The fan ``frags`` with the corner a-v-b of a ``size``-gon added:
-        the new fragment tuple, None when the corner closes the fan, or
-        False when the corner cannot be added."""
+    def _merged(self, frags: Optional[tuple], a: int, b: int, size: int,
+                far: tuple[int, ...]):
+        """The fan ``frags`` with the corner a-v-b of a ``size``-gon added,
+        ``far`` its other vertices in order from a to b: the new fragment
+        tuple, None when the corner closes the fan, or False when the
+        corner cannot be added."""
         if frags is None:
             return False
         ia = ib = -1
-        for i, (nbrs, _sizes) in enumerate(frags):
-            if nbrs[0] == a or nbrs[-1] == a:
+        for i, (path, _sizes) in enumerate(frags):
+            # a far vertex on the link would share a face with v but no
+            # edge; a neighbour inside a path already has its edge to v
+            # in two faces
+            for u in far:
+                if u in path:
+                    return False
+            if a in path:
+                if a != path[0] and a != path[-1]:
+                    return False
                 ia = i
-            if nbrs[0] == b or nbrs[-1] == b:
+            if b in path:
+                if b != path[0] and b != path[-1]:
+                    return False
                 ib = i
         if ia != -1 and ia == ib:
             # the corner joins the two ends of one fragment: the fan closes,
@@ -224,12 +235,12 @@ class _Searcher:
             return None if canonical_face(frags[ia][1] + (size,)) == self.t else False
         # orient the fragment ending at a to end there, the one at b to
         # start there; a missing one is the bare neighbour
-        nbrs_a, sizes_a = frags[ia] if ia != -1 else ((a,), ())
-        if nbrs_a[0] == a:
-            nbrs_a, sizes_a = tuple(reversed(nbrs_a)), tuple(reversed(sizes_a))
-        nbrs_b, sizes_b = frags[ib] if ib != -1 else ((b,), ())
-        if nbrs_b[-1] == b:
-            nbrs_b, sizes_b = tuple(reversed(nbrs_b)), tuple(reversed(sizes_b))
+        path_a, sizes_a = frags[ia] if ia != -1 else ((a,), ())
+        if path_a[0] == a:
+            path_a, sizes_a = path_a[::-1], sizes_a[::-1]
+        path_b, sizes_b = frags[ib] if ib != -1 else ((b,), ())
+        if path_b[-1] == b:
+            path_b, sizes_b = path_b[::-1], sizes_b[::-1]
         sizes = sizes_a + (size,) + sizes_b
         # the new fragment must fit the cyclic type (the others passed
         # this check when they were made), the fragments together must
@@ -238,42 +249,21 @@ class _Searcher:
         if not _embeddings(sizes, self.t):
             return False
         out = tuple(f for i, f in enumerate(frags) if i not in (ia, ib))
-        out += ((nbrs_a + nbrs_b, sizes),)
-        flat = [s for _nbrs, run in out for s in run]
+        out += ((path_a + far + path_b, sizes),)
+        flat = [s for _path, run in out for s in run]
         if len(flat) + len(out) > self.deg or flat.count(size) > self.t.count(size):
             return False
         return out
 
-    def _meets_cleanly(self, face: tuple[int, ...]) -> bool:
-        """Whether ``face`` meets every committed face in at most a vertex
-        or a common edge, and finds none of its edges in two faces."""
-        fset = frozenset(face)
-        edges = frozenset(face_edges(face))
-        # pairwise intersection with existing faces
-        shared: dict[int, int] = {}
-        for v in face:
-            if v < self.used:
-                for fi in self.vertex_faces[v]:
-                    shared[fi] = shared.get(fi, 0) + 1
-        for fi, cnt in shared.items():
-            if cnt < 2:
-                continue
-            if cnt > 2:
-                return False
-            u, w = sorted(fset & self.face_sets[fi])
-            if (u, w) not in self.edge_sets[fi] or (u, w) not in edges:
-                return False
-        return all(self.edge_uses.get(e, 0) < 2 for e in edges)
-
     def _new_fans(self, face: tuple[int, ...]) -> Optional[list]:
         """The fans of ``face``'s vertices once it is committed, or None
         when it may not be.  The one acceptance test; it changes nothing."""
-        if not self._meets_cleanly(face):
-            return None
         p = len(face)
         new = []
         for i, v in enumerate(face):
-            frags = self._merged(self.fragments[v], face[i - 1], face[(i + 1) % p], p)
+            far = tuple(face[(i - k) % p] for k in range(2, p - 1))
+            frags = self._merged(self.fragments[v], face[i - 1],
+                                 face[(i + 1) % p], p, far)
             if frags is False:
                 return None
             new.append(frags)
@@ -283,15 +273,8 @@ class _Searcher:
         """Commit ``face`` with the fans ``_new_fans`` gave it; return the
         old fans of its vertices."""
         old = tuple(self.fragments[v] for v in face)
-        fid = len(self.faces)
         self.faces.append(face)
-        self.face_sets.append(frozenset(face))
-        edges = frozenset(face_edges(face))
-        self.edge_sets.append(edges)
-        for e in edges:
-            self.edge_uses[e] = self.edge_uses.get(e, 0) + 1
         for v, frags in zip(face, fans):
-            self.vertex_faces[v].append(fid)
             self.fragments[v] = frags
         return old
 
@@ -299,14 +282,7 @@ class _Searcher:
         """Reverse the commit of ``face``, the last face committed, given
         the old fans ``_commit`` returned."""
         self.faces.pop()
-        self.face_sets.pop()
-        for e in self.edge_sets.pop():
-            if self.edge_uses[e] == 1:
-                del self.edge_uses[e]
-            else:
-                self.edge_uses[e] -= 1
         for v, frags in zip(face, old):
-            self.vertex_faces[v].pop()
             self.fragments[v] = frags
 
     # -- slot selection and candidate generation --
@@ -317,18 +293,18 @@ class _Searcher:
             frags = self.fragments[v]
             if not frags:
                 continue
-            nbrs, _sizes = min(frags)
+            path, _sizes = min(frags)
             # extend at the end with the smaller neighbour label
-            return (v, min(nbrs[0], nbrs[-1]))
+            return (v, min(path[0], path[-1]))
         return None
 
     def _run(self, v: int, end: int) -> tuple[int, ...]:
         """Sizes of the fragment of ``v``'s fan that ends at ``end``, in
         order towards ``end``."""
-        for nbrs, sizes in self.fragments[v]:
-            if nbrs[-1] == end:
+        for path, sizes in self.fragments[v]:
+            if path[-1] == end:
                 return sizes
-            if nbrs[0] == end:
+            if path[0] == end:
                 return sizes[::-1]
         raise SearchInvariantError(f"{v}-{end} is no open edge")
 
@@ -342,12 +318,12 @@ class _Searcher:
 
     def _dead_end(self, skip: tuple[int, int]) -> bool:
         """Fail first: whether an open edge other than ``skip`` admits no
-        face.  Constraints only tighten along a branch (budgets fall, edge
-        uses, fans and faces only grow, fresh labels are interchangeable),
-        so such an edge stays unfillable and the node has no completion."""
+        face.  Constraints only tighten along a branch (budgets fall, fans
+        and faces only grow, fresh labels are interchangeable), so such an
+        edge stays unfillable and the node has no completion."""
         for v in range(self.used):
-            for nbrs, _sizes in self.fragments[v] or ():
-                for end in (nbrs[-1], nbrs[0]):
+            for path, _sizes in self.fragments[v] or ():
+                for end in (path[-1], path[0]):
                     # each open edge once, from its smaller vertex
                     if end > v and (v, end) != skip and not self._fillable(v, end):
                         return True
@@ -363,9 +339,9 @@ class _Searcher:
         is the verdict of searching the edge anew, which happens only
         when the witness has died."""
         used = self.used
-        path = self.witnesses.get((v, end))
-        if path is not None:
-            face = tuple(u if u >= 0 else used + ~u for u in path)
+        witness = self.witnesses.get((v, end))
+        if witness is not None:
+            face = tuple(u if u >= 0 else used + ~u for u in witness)
             if (max(face) < self.n and len(set(face)) == len(face)
                     and self.budgets[len(face)] > 0
                     and self._new_fans(face) is not None):
@@ -379,42 +355,40 @@ class _Searcher:
 
     def _admissible(self, prefix: list[int], cand: int) -> bool:
         """Whether ``cand`` may follow ``prefix`` in a face."""
-        if self.edge_uses.get(edge_key(prefix[-1], cand), 0) >= 2:
-            return False
         if cand >= self.used:
             return True
-        if self.fragments[cand] is None:
+        frags = self.fragments[cand]
+        if frags is None:
             return False
         if not self.fast_prunes:
             return True
-        last = len(prefix) - 1
-        for fi in self.vertex_faces[cand]:
-            # partial face-intersection check: a committed face through
-            # cand may meet the face in one more vertex only, the prefix's
-            # last along an edge of both, or its first, where it may close
-            fs = self.face_sets[fi]
-            others = [i for i, u in enumerate(prefix) if u in fs]
-            if len(others) > 1 or others and others[0] not in (0, last):
+        # cand's link may hold only the prefix's last vertex, along an
+        # edge in one face, or its first, where the face may close: any
+        # other prefix vertex there would share a second face with cand
+        inner = prefix[1:-1]
+        for path, _sizes in frags:
+            if path[0] in inner or path[-1] in inner:
                 return False
-            if others == [last] and edge_key(prefix[last], cand) not in self.edge_sets[fi]:
-                return False
+            for u in path[1:-1]:
+                if u in prefix:
+                    return False
         return True
 
     def _closes(self, prefix: list[int], size: int) -> bool:
         """Whether the full ``prefix`` may close into a face that
         ``_new_fans`` accepts."""
-        face = tuple(prefix)
         if not self.fast_prunes:
-            return self._new_fans(face) is not None
-        # the other corners passed while the prefix grew; the two closing
-        # corners, at ``last`` and at ``end``, remain
+            return self._new_fans(tuple(prefix)) is not None
+        # the other corners passed while the prefix grew, and
+        # ``_admissible`` kept each vertex off the links of all but the
+        # first; the two closing corners remain, and the one at ``end``
+        # also checks its far vertices
         last, end = prefix[-1], prefix[0]
         if last < self.used and self._merged(
-                self.fragments[last], prefix[-2], end, size) is False:
+                self.fragments[last], prefix[-2], end, size, ()) is False:
             return False
-        if self._merged(self.fragments[end], last, prefix[1], size) is False:
-            return False
-        return self._meets_cleanly(face)
+        return self._merged(self.fragments[end], last, prefix[1], size,
+                            tuple(prefix[-2:1:-1])) is not False
 
     def _faces(self, prefix: list[int], size: int, used_now: int):
         """Yield the faces that may be committed among the completions of
@@ -432,20 +406,22 @@ class _Searcher:
         if self.fast_prunes and prev < self.used:
             # fail first: the next vertex fixes the corner a-prev-cand,
             # which is then ``_new_fans``'s verdict there (each corner of
-            # a face sits at its own vertex).  Every cand ending no
-            # fragment of prev's fan gets the verdict of ``self.n``, which
-            # is no vertex.
+            # a face sits at its own vertex), save for its far vertices,
+            # which ``_admissible`` and ``_closes`` check.  Every cand
+            # ending no fragment of prev's fan gets the verdict of
+            # ``self.n``, which is no vertex; ``_admissible`` refuses one
+            # inside a path.
             frags, a = self.fragments[prev], prefix[-2]
-            ends = {u for nbrs, _sizes in frags for u in (nbrs[0], nbrs[-1])}
+            ends = {u for path, _sizes in frags for u in (path[0], path[-1])}
             ends.discard(a)
-            if self._merged(frags, a, self.n, size) is False:
+            if self._merged(frags, a, self.n, size, ()) is False:
                 cands = sorted(u for u in ends if u < cap)
         for cand in cands:
             if cand in prefix:
                 continue
             if not self._admissible(prefix, cand):
                 continue
-            if cand in ends and self._merged(frags, a, cand, size) is False:
+            if cand in ends and self._merged(frags, a, cand, size, ()) is False:
                 continue
             prefix.append(cand)
             yield from self._faces(prefix, size, max(used_now, cand + 1))

@@ -48,11 +48,13 @@ def parse(text: str) -> PolyhedralMap:
         body.append(stripped)
     if not body or body[0].split() != ["semmap", "1"]:
         raise SemmapFormatError("missing 'semmap 1' header")
-    if len(body) < 2 or not body[1].startswith("vertices"):
+    header = body[1].split() if len(body) > 1 else []
+    if not header or header[0] != "vertices":
         raise SemmapFormatError("missing 'vertices <n>' line")
     try:
-        n = int(body[1].split()[1])
-    except (IndexError, ValueError) as exc:
+        (count,) = header[1:]
+        n = int(count)
+    except ValueError as exc:
         raise SemmapFormatError(f"bad vertices line: {body[1]!r}") from exc
     faces = []
     for ln in body[2:]:

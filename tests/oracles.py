@@ -35,6 +35,25 @@ def brute_force_systole(m: PolyhedralMap) -> int:
     return best[0]
 
 
+def meets_cleanly(faces, face) -> bool:
+    """Whether ``face`` may join the committed ``faces`` of a polyhedral
+    map: it meets each of them in nothing, one vertex or one common edge,
+    and none of its edges already lies in two of them."""
+
+    def edges(f):
+        return {frozenset((f[i], f[(i + 1) % len(f)])) for i in range(len(f))}
+
+    new_edges = edges(face)
+    for other in faces:
+        common = set(other) & set(face)
+        if len(common) > 2:
+            return False
+        if len(common) == 2 and (frozenset(common) not in edges(other)
+                                 or frozenset(common) not in new_edges):
+            return False
+    return all(sum(e in edges(other) for other in faces) < 2 for e in new_edges)
+
+
 def gauss_determinant(matrix) -> int:
     """Exact determinant by Gaussian elimination over the rationals."""
     a = [[Fraction(x) for x in row] for row in matrix]

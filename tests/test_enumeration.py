@@ -20,6 +20,8 @@ from sematlas.enumeration import (
 )
 from sematlas.semmap import serialize
 
+from oracles import meets_cleanly
+
 T334 = FaceSeqType((3, 3, 3, 4, 4))
 
 
@@ -145,11 +147,23 @@ PRUNE_CELLS = [
 ]
 
 
+#: search nodes of the reference search (no speed prunes) on PRUNE_CELLS
+REFERENCE_NODES = {
+    ((3, 3, 3, 4, 4), 10): 51,
+    ((3, 3, 3, 4, 4), 12): 199,
+    ((3, 3, 4, 3, 4), 12): 258,
+    ((3, 4, 6, 4), 18): 227,
+    ((3, 6, 3, 6), 15): 8,
+    ((4, 8, 8), 16): 1,
+}
+
+
 class TestPruneSoundness:
     @pytest.mark.parametrize("sizes,n", PRUNE_CELLS)
     def test_speed_prunes_change_nothing(self, sizes, n):
         """The lookahead prunes must be pure accelerators: running without
-        them yields the identical set of isomorphism classes."""
+        them yields the identical maps in the identical order, from a
+        reference tree whose size is pinned."""
         from sematlas.enumeration import _Searcher, face_counts
 
         t = FaceSeqType(sizes)
@@ -157,8 +171,9 @@ class TestPruneSoundness:
         for fast in (True, False):
             s = _Searcher(t, n, face_counts(t, n), None, fast_prunes=fast)
             s.run()
-            results[fast] = sorted(canonical_form(m).form for m in s.results)
+            results[fast] = [serialize(m) for m in s.results]
         assert results[True] == results[False]
+        assert s.nodes == REFERENCE_NODES[(sizes, n)]
 
     @pytest.mark.parametrize("sizes,n", PRUNE_CELLS)
     def test_witnesses_change_nothing(self, sizes, n):
@@ -177,15 +192,45 @@ class TestPruneSoundness:
             results[forget] = (s.nodes, [serialize(m) for m in s.results])
         assert results[True] == results[False]
 
+    @pytest.mark.parametrize("sizes,n", [((3, 3, 3, 4, 4), 10),
+                                         ((3, 3, 4, 3, 4), 12)])
+    def test_fan_test_refuses_unclean_faces(self, sizes, n):
+        """The fan merges alone refuse every face that meets a committed
+        face in more than a vertex or a common edge, or puts an edge in a
+        third face; the reference search offers them many such faces."""
+        from sematlas.enumeration import _Searcher
+
+        unclean = []
+
+        class Checked(_Searcher):
+            def _new_fans(self, face):
+                fans = super()._new_fans(face)
+                if not meets_cleanly(self.faces, face):
+                    unclean.append(fans)
+                return fans
+
+        t = FaceSeqType(sizes)
+        Checked(t, n, face_counts(t, n), None, fast_prunes=False).run()
+        assert unclean and all(fans is None for fans in unclean)
+
 
 def test_corner_check_counts_sizes():
-    """Each fragment alone fits (3,3,3,4,4), but together they would give
-    the vertex a third quad, so the corner is refused."""
+    """Fragments are link paths: neighbour, far vertices, neighbour, and
+    so on.  Each fragment alone fits (3,3,3,4,4), but together they would
+    give the vertex a third quad, so the corner is refused.  So is a
+    corner at a neighbour inside a path, whose edge to the vertex already
+    lies in two faces, and a corner whose far vertex is already on the
+    fan."""
     from sematlas.enumeration import _Searcher
 
     s = _Searcher(T334, 10, face_counts(T334, 10), None)
-    assert s._merged((((5, 1, 6), (4, 4)),), 2, 9, 4) is False
-    assert s._merged((((5, 1, 6), (4, 4)),), 2, 9, 3)
+    quads = (((5, 7, 1, 8, 6), (4, 4)),)
+    assert s._merged(quads, 2, 9, 4, (3,)) is False
+    assert s._merged(quads, 2, 9, 3, ())
+    assert s._merged(quads, 1, 9, 3, ()) is False
+    quad = (((5, 7, 1), (4,)),)
+    assert s._merged(quad, 2, 9, 4, (3,))
+    assert s._merged(quad, 2, 9, 4, (7,)) is False
 
 
 #: (type, n) -> (search nodes, classes) for every flat-type cell with

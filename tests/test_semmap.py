@@ -57,6 +57,8 @@ def test_tags_round_trip():
     "semmap 2\nvertices 4\n",
     "semmap 1\nface 0 1 2\n",
     "semmap 1\nvertices x\n",
+    "semmap 1\nvertices 4 junk\nface 0 1 2\nface 0 1 3\nface 0 2 3\nface 1 2 3\n",
+    "semmap 1\nverticesX 4\nface 0 1 2\nface 0 1 3\nface 0 2 3\nface 1 2 3\n",
     "semmap 1\nvertices 4\nedge 0 1\n",
     "semmap 1\nvertices 4\nface 0 one 2\n",
 ])
