@@ -154,18 +154,13 @@ def is_isomorphic(a: PolyhedralMap, b: PolyhedralMap) -> bool:
     return find_isomorphism(a, b) is not None
 
 
-def automorphism_pinning(m: PolyhedralMap, u: int, v: int) -> Optional[Isomorphism]:
-    """An automorphism of ``m`` sending u to v, if one exists."""
-    return find_isomorphism(m, m, pin=(u, v))
-
-
 def is_vertex_transitive(m: PolyhedralMap) -> bool:
     """Whether some automorphism carries vertex 0 to every other vertex."""
     known = {0}
     for v in range(1, m.n_vertices):
         if v in known:
             continue
-        iso = automorphism_pinning(m, 0, v)
+        iso = find_isomorphism(m, m, pin=(0, v))
         if iso is None:
             return False
         # images of already-reached vertices extend the orbit for free

@@ -21,6 +21,7 @@ from .core import (
     cyclic_equal,
     edge_key,
     euler_characteristic,
+    face_edges,
     grid_coords,
     is_orientable,
     is_semi_equivelar,
@@ -343,37 +344,46 @@ def _edge_is_horizontal(coord, u, v, n) -> bool:
     return (cu - cv) % n in (1, n - 1)
 
 
-def _face_walk(m: PolyhedralMap, rule):
-    """Walk the faces of ``m`` across their edges, where ``rule(u, v)``
-    says what the edge {u, v} does: None, the walk does not cross it; 0,
-    the colour stays; 1, it flips.  Returns (component, colour), each
-    indexed by face with a component named by its least face, or None
-    when some face would need both colours."""
-    component = [-1] * m.n_faces
-    colour = [0] * m.n_faces
-    for start in range(m.n_faces):
-        if component[start] != -1:
+def _two_colour(count: int, neighbours):
+    """2-colour the items 0..count-1 along a relation: ``neighbours(i)``
+    yields (j, flip) pairs, j to take i's colour XOR flip.  Returns
+    (components, colour): each component lists its items in the order the
+    walk reaches them, from its least item, which has colour 0.  None when
+    some item would need both colours."""
+    colour = [-1] * count
+    components = []
+    for start in range(count):
+        if colour[start] != -1:
             continue
-        component[start] = start
+        colour[start] = 0
+        comp = [start]
         stack = [start]
         while stack:
-            fi = stack.pop()
-            face = m.faces[fi]
-            for i in range(len(face)):
-                u, v = face[i], face[(i + 1) % len(face)]
-                step = rule(u, v)
-                if step is None:
-                    continue
-                fa, fb = m.edge_faces(u, v)
-                other = fb if fa == fi else fa
-                want = colour[fi] ^ step
-                if component[other] == -1:
-                    component[other] = start
-                    colour[other] = want
-                    stack.append(other)
-                elif colour[other] != want:
+            i = stack.pop()
+            for j, flip in neighbours(i):
+                want = colour[i] ^ flip
+                if colour[j] == -1:
+                    colour[j] = want
+                    comp.append(j)
+                    stack.append(j)
+                elif colour[j] != want:
                     return None
-    return component, colour
+        components.append(comp)
+    return components, colour
+
+
+def _face_walk(m: PolyhedralMap, rule):
+    """``_two_colour`` over the faces of ``m`` across their edges, where
+    ``rule(u, v)`` says what the edge {u, v} does: None, the walk does not
+    cross it; 0, the colour stays; 1, it flips."""
+    def neighbours(fi):
+        for u, v in face_edges(m.faces[fi]):
+            step = rule(u, v)
+            if step is not None:
+                fa, fb = m.edge_faces(u, v)
+                yield (fb if fa == fi else fa), step
+
+    return _two_colour(m.n_faces, neighbours)
 
 
 def _oriented_quad(m: PolyhedralMap, coord, n, face):
@@ -410,12 +420,9 @@ def subdivide_layer_diagonals(m: PolyhedralMap) -> PolyhedralMap:
     # closed bands of quads glued along their column-direction edges: two
     # bands of n on the torus grid; on the Klein grid the row flip splices
     # two of the three layers into one band of 2n, beside a band of n
-    component, _colour = _face_walk(
+    bands, _colour = _face_walk(
         m, lambda u, v: None if _edge_is_horizontal(coord, u, v, n) else 0)
-    bands: dict[int, list[int]] = {}
-    for fi, c in enumerate(component):
-        bands.setdefault(c, []).append(fi)
-    chosen = min(bands.values(), key=lambda b: (
+    chosen = min(bands, key=lambda b: (
         len(b), sorted(canonical_face(m.faces[fi]) for fi in b)))
     faces = []
     in_layer = set(chosen)
@@ -588,11 +595,7 @@ def build_3464_from_312sq(m: PolyhedralMap) -> PolyhedralMap:
         raise NotTruncation("input must be a semi-equivelar (3,12,12) map")
     triangles = [f for f in m.faces if len(f) == 3]
     twelves = [f for f in m.faces if len(f) == 12]
-    tri_edges = set()
-    for f in triangles:
-        p = len(f)
-        for i in range(p):
-            tri_edges.add(edge_key(f[i], f[(i + 1) % p]))
+    tri_edges = {e for f in triangles for e in face_edges(f)}
 
     fresh = iter(range(m.n_vertices, 10 ** 9))
     ring: dict[tuple[int, int], int] = {}   # (12-gon index, position) -> id
@@ -656,40 +659,23 @@ def subdivide_3464_to_346(m: PolyhedralMap) -> PolyhedralMap:
         raise NoConsistentDiagonalization(
             "input must be a semi-equivelar (3,4,6,4) map")
     quads = [fi for fi, f in enumerate(m.faces) if len(f) == 4]
-    qindex = {fi: k for k, fi in enumerate(quads)}
-    # vertex -> [(quad slot, position parity)]
+    # vertex -> (quad slot, position parity) of each of its quads, which
+    # the type makes exactly two
     incidence: dict[int, list[tuple[int, int]]] = {}
-    for fi in quads:
-        face = m.faces[fi]
-        for pos, v in enumerate(face):
-            incidence.setdefault(v, []).append((qindex[fi], pos % 2))
-    delta = [-1] * len(quads)
-    components = []
-    for start in range(len(quads)):
-        if delta[start] != -1:
-            continue
-        comp = [start]
-        delta[start] = 0
-        stack = [start]
-        while stack:
-            k = stack.pop()
-            for v in m.faces[quads[k]]:
-                pair = incidence[v]
-                if len(pair) != 2:
-                    raise NoConsistentDiagonalization(
-                        f"vertex {v} lies in {len(pair)} quads, expected 2")
-                (k1, p1), (k2, p2) = pair
-                other, po = ((k2, p2) if k1 == k else (k1, p1))
-                ps = p1 if k1 == k else p2
-                want = delta[k] ^ 1 ^ ps ^ po
-                if delta[other] == -1:
-                    delta[other] = want
-                    comp.append(other)
-                    stack.append(other)
-                elif delta[other] != want:
-                    raise NoConsistentDiagonalization(
-                        "diagonal parity conflicts around a quad cycle")
-        components.append(comp)
+    for k, fi in enumerate(quads):
+        for pos, v in enumerate(m.faces[fi]):
+            incidence.setdefault(v, []).append((k, pos % 2))
+
+    def neighbours(k):
+        for v in m.faces[quads[k]]:
+            (k1, p1), (k2, p2) = incidence[v]
+            yield (k2 if k1 == k else k1), 1 ^ p1 ^ p2
+
+    walk = _two_colour(len(quads), neighbours)
+    if walk is None:
+        raise NoConsistentDiagonalization(
+            "diagonal parity conflicts around a quad cycle")
+    components, delta = walk
 
     def cut(fi: int, d: int):
         a, b, c, e = m.faces[fi]

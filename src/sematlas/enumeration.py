@@ -9,9 +9,11 @@ may appear twice on its link, which is at once the edge-in-two-faces
 rule and the pairwise face-intersection condition, and every partial
 fan must embed consecutively in the target cyclic type.  It fails
 first, checking each corner as soon as a candidate face fixes it and
-cutting a node when any open edge admits no face at all.  Survivors
-are deduplicated by canonical form, so the output lists every map of the
-requested type and vertex count exactly once up to isomorphism.
+cutting a node when any open edge admits no face at all.  A completed
+map is kept only when ``find_isomorphism`` finds no isomorphism to a map
+already kept, so the output lists every map of the requested type and
+vertex count exactly once up to isomorphism, each class by the first map
+the search completes in it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .core import (
     is_orientable,
     is_semi_equivelar,
 )
-from .classify import canonical_form
+from .classify import find_isomorphism
 
 BUDGET_ENV = "SEM_ATLAS_BUDGET"
 
@@ -44,13 +46,6 @@ ALL_FLAT_TYPES = (
     FaceSeqType((3, 6, 3, 6)),
     FaceSeqType((3, 12, 12)),
     FaceSeqType((4, 6, 12)),
-)
-
-#: One-size types; their flat series are produced by generators instead.
-EQUIVELAR_TYPES = (
-    FaceSeqType((3, 3, 3, 3, 3, 3)),
-    FaceSeqType((4, 4, 4, 4)),
-    FaceSeqType((6, 6, 6)),
 )
 
 
@@ -198,7 +193,6 @@ class _Searcher:
         self.used = 0
         self.budgets = {size: cnt for size, cnt in profile.counts}
         self.results: list[PolyhedralMap] = []
-        self.seen_forms: set[bytes] = set()
         #: open edge (v, end) -> the last face found to fill it, fresh
         #: labels stored as offsets ~k from ``used``
         self.witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -496,15 +490,14 @@ class _Searcher:
         if got != FaceSeqType(self.t):
             raise SearchInvariantError(
                 f"search emitted a map of type {got}, wanted {FaceSeqType(self.t)}")
-        form = canonical_form(m).form
-        if form not in self.seen_forms:
-            self.seen_forms.add(form)
+        if all(find_isomorphism(m, kept) is None for kept in self.results):
             self.results.append(m)
 
 
 def _env_budget() -> Optional[int]:
     raw = os.environ.get(BUDGET_ENV)
-    if raw and not raw.isdecimal():
+    # ASCII digits only: ``int`` also reads other scripts' digits
+    if raw and not (raw.isascii() and raw.isdigit()):
         raise BadBudget(f"{BUDGET_ENV}={raw!r} is not a non-negative integer")
     return int(raw) if raw else None
 

@@ -6,8 +6,12 @@ from __future__ import annotations
 from .core import PolyhedralMap, grid_coords
 
 
-def to_dot(m: PolyhedralMap, name: str = "map") -> str:
-    lines = [f"graph {name} {{"]
+#: grid spacing of the SVG drawing, in pixels
+_SCALE = 48
+
+
+def to_dot(m: PolyhedralMap) -> str:
+    lines = ["graph map {"]
     for v in range(m.n_vertices):
         lines.append(f"  {v};")
     for (u, v) in m.edges:
@@ -20,7 +24,7 @@ class SvgUnsupported(ValueError):
     """SVG layout needs well-formed generator grid tags."""
 
 
-def to_svg(m: PolyhedralMap, scale: int = 48) -> str:
+def to_svg(m: PolyhedralMap) -> str:
     """Fundamental-polygon drawing of a tagged grid map.
 
     Vertices sit on their (row, column) grid positions; edges wrapping
@@ -36,13 +40,13 @@ def to_svg(m: PolyhedralMap, scale: int = 48) -> str:
     pos = {v: (col, row) for v, (row, col) in coords.items()}
     cols = 1 + max(x for x, _ in pos.values())
     rows = 1 + max(y for _, y in pos.values())
-    pad = scale
-    width = pad * 2 + (cols - 1) * scale
-    height = pad * 2 + (rows - 1) * scale
+    pad = _SCALE
+    width = pad * 2 + (cols - 1) * _SCALE
+    height = pad * 2 + (rows - 1) * _SCALE
 
     def pt(v):
         x, y = pos[v]
-        return (pad + x * scale, height - pad - y * scale)
+        return (pad + x * _SCALE, height - pad - y * _SCALE)
 
     body = []
     stubs = []
@@ -57,8 +61,8 @@ def to_svg(m: PolyhedralMap, scale: int = 48) -> str:
             stubs.append((v, u))
     for (u, v) in sorted(stubs):
         x1, y1 = pt(u)
-        dx = scale // 2 if pos[u][0] >= cols - 1 or pos[v][0] == 0 else -scale // 2
-        dy = -scale // 3 if pos[u][1] >= rows - 1 else scale // 3
+        dx = _SCALE // 2 if pos[u][0] >= cols - 1 or pos[v][0] == 0 else -_SCALE // 2
+        dy = -_SCALE // 3 if pos[u][1] >= rows - 1 else _SCALE // 3
         body.append(f'<line x1="{x1}" y1="{y1}" x2="{x1 + dx}" y2="{y1 + dy}" '
                     f'class="w"/>')
         body.append(f'<text x="{x1 + dx}" y="{y1 + dy}" class="wl">{v}</text>')

@@ -25,6 +25,14 @@ class SemmapFormatError(ValueError):
     pass
 
 
+def _natural(token: str) -> int:
+    """A vertex count or label: ASCII digits only, so ``+4``, ``0_4`` and
+    ``\u0664`` (an Arabic-Indic four), which ``int`` reads as 4, are refused."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"{token!r} is not a string of digits 0-9")
+    return int(token)
+
+
 def parse(text: str) -> PolyhedralMap:
     """Parse semmap v1 text into a validated map."""
     lines = text.splitlines()
@@ -53,7 +61,7 @@ def parse(text: str) -> PolyhedralMap:
         raise SemmapFormatError("missing 'vertices <n>' line")
     try:
         (count,) = header[1:]
-        n = int(count)
+        n = _natural(count)
     except ValueError as exc:
         raise SemmapFormatError(f"bad vertices line: {body[1]!r}") from exc
     faces = []
@@ -62,9 +70,9 @@ def parse(text: str) -> PolyhedralMap:
         if parts[0] != "face":
             raise SemmapFormatError(f"unexpected line: {ln!r}")
         try:
-            faces.append(tuple(int(p) for p in parts[1:]))
+            faces.append(tuple(_natural(p) for p in parts[1:]))
         except ValueError as exc:
-            raise SemmapFormatError(f"non-integer vertex in: {ln!r}") from exc
+            raise SemmapFormatError(f"bad vertex label in: {ln!r}") from exc
     return validate(faces, n, tags=tags or None)
 
 

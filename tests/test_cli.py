@@ -202,7 +202,7 @@ def test_env_budget_caps_search(tmp_path, capsys, monkeypatch):
     assert code == 0 and "5 map(s)" in out
 
 
-@pytest.mark.parametrize("raw", ["abc", "-1", "1.5"])
+@pytest.mark.parametrize("raw", ["abc", "-1", "1.5", "\u0664"])
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--type", "3,3,3,4,4", "--n", "10"],
     ["classify", "--max-vertices", "10", "--jobs", "1"],

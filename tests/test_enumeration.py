@@ -6,7 +6,13 @@ import pytest
 
 from sematlas import enumeration
 from sematlas.classify import canonical_form, find_isomorphism
-from sematlas.core import FaceSeqType, euler_characteristic, is_orientable, is_semi_equivelar
+from sematlas.core import (
+    FaceSeqType,
+    PolyhedralMap,
+    euler_characteristic,
+    is_orientable,
+    is_semi_equivelar,
+)
 from sematlas.enumeration import (
     BudgetExceeded,
     Infeasible,
@@ -265,6 +271,49 @@ def test_search_tree_is_pinned():
             s.run()
             got[(t.sizes, n)] = (s.nodes, len(s.results))
     assert got == SEARCH_TREE
+
+
+def test_dedupe_keeps_the_first_map_of_each_class():
+    """The search keeps a completed map unless it is isomorphic to one
+    already kept.  Checked here against canonical forms, an independent
+    test of sameness: the kept maps are the first completed map of each
+    distinct form, in the order the search completes them."""
+    from sematlas.enumeration import ALL_FLAT_TYPES, _Searcher
+
+    class Recording(_Searcher):
+        def _emit_if_complete(self):
+            if self.used == self.n and not any(self.budgets.values()):
+                completed.append(PolyhedralMap(self.n, list(self.faces)))
+            super()._emit_if_complete()
+
+    n_completed = n_kept = 0
+    for t in ALL_FLAT_TYPES:
+        for n in min_vertices_gate(t, 16):
+            completed = []
+            s = Recording(t, n, face_counts(t, n), None)
+            s.run()
+            first = {}
+            for m in completed:
+                first.setdefault(canonical_form(m).form, m)
+            assert ([serialize(m) for m in s.results]
+                    == [serialize(m) for m in first.values()]), (t, n)
+            n_completed += len(completed)
+            n_kept += len(s.results)
+    # the check has teeth: some cells complete one class more than once
+    assert n_completed > n_kept
+
+
+#: SHA-256 over the semmap text of every map of ``classify_all(20)``, in
+#: row order, recorded when the search still deduplicated by canonical
+#: form.  The census must keep its representatives, byte for byte.
+CENSUS_20_SHA256 = "2c30c941820fbc9372fde14dfd9a58c395866a02de8e93b704ba72c07d163f02"
+
+
+def test_census_representatives_are_pinned():
+    rows = classify_all(20)
+    text = "".join(serialize(m) for r in rows for m in r.maps)
+    assert sum(r.total for r in rows) == 44
+    assert hashlib.sha256(text.encode()).hexdigest() == CENSUS_20_SHA256
 
 
 #: Two cells beyond the census, recorded before the search gained its

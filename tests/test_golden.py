@@ -79,3 +79,35 @@ def test_grid_operator_outputs_are_pinned():
             rec = m if isinstance(m, str) else semmap.serialize(m) + repr(m.faces)
             h.update(f"{params} {rec}\n".encode())
     assert h.hexdigest() == GRID_SHA256
+
+
+OPS_3464_SHA256 = "ce0426cb6ab4e6fa35e55b7ec6f59eabff3d74fdfa3f7128c30712e631943979"
+
+
+def _inputs_3464():
+    """The truncated 6^3 torus and Klein series, n = 3..10, then the
+    atlas (3,4,6,4) maps."""
+    for n in range(3, 11):
+        for surface in ("torus", "klein_bottle"):
+            params = SeriesParams("6^3", surface, n)
+            base = _outcome(equivelar_series, params)
+            yield str(params), (base if isinstance(base, str)
+                                else _outcome(constructions.truncate, base))
+    for entry in fixture_catalog():
+        if entry.type.sizes == (3, 4, 6, 4):
+            yield entry.id, load_fixture(entry.id)
+
+
+def test_3464_operator_outputs_are_pinned():
+    h = hashlib.sha256()
+    for name, m in _inputs_3464():
+        outs = [m]
+        if not isinstance(m, str):
+            built = _outcome(constructions.build_3464_from_312sq, m)
+            outs += [built, _outcome(constructions.subdivide_3464_to_346, m)]
+            if not isinstance(built, str):
+                outs.append(_outcome(constructions.subdivide_3464_to_346, built))
+        for out in outs:
+            rec = out if isinstance(out, str) else semmap.serialize(out) + repr(out.faces)
+            h.update(f"{name} {rec}\n".encode())
+    assert h.hexdigest() == OPS_3464_SHA256

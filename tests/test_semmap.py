@@ -61,6 +61,13 @@ def test_tags_round_trip():
     "semmap 1\nverticesX 4\nface 0 1 2\nface 0 1 3\nface 0 2 3\nface 1 2 3\n",
     "semmap 1\nvertices 4\nedge 0 1\n",
     "semmap 1\nvertices 4\nface 0 one 2\n",
+    # int() reads each of these as a valid count or label
+    "semmap 1\nvertices +4\nface 0 1 2\nface 0 1 3\nface 0 2 3\nface 1 2 3\n",
+    "semmap 1\nvertices 0_4\nface 0 1 2\nface 0 1 3\nface 0 2 3\nface 1 2 3\n",
+    "semmap 1\nvertices \u0664\nface 0 1 2\nface 0 1 3\nface 0 2 3\nface 1 2 3\n",
+    "semmap 1\nvertices 4\nface +0 1 2\nface 0 1 3\nface 0 2 3\nface 1 2 3\n",
+    # a sign is no digit, so this is a format error, not a bad label
+    "semmap 1\nvertices 4\nface -1 0 2\nface 0 1 3\nface 0 2 3\nface 1 2 3\n",
 ])
 def test_format_errors(text):
     with pytest.raises(semmap.SemmapFormatError):
