@@ -54,13 +54,12 @@ def fixture_catalog() -> list[FixtureEntry]:
 
 def load_fixture(fixture_id: str) -> PolyhedralMap:
     """The validated map behind an atlas id such as 'T_1_10__3-3-3-4-4'."""
+    manifest = _manifest()
+    if fixture_id not in manifest:
+        known = ", ".join(sorted(manifest))
+        raise UnknownFixture(f"{fixture_id!r}; known ids: {known}")
     path = _data_root() / f"{fixture_id}.map"
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        known = ", ".join(sorted(_manifest()))
-        raise UnknownFixture(f"{fixture_id!r}; known ids: {known}") from None
-    return semmap.parse(text)
+    return semmap.parse(path.read_text(encoding="utf-8"))
 
 
 #: ids of the six non-orientable maps and their orientation double covers

@@ -2,10 +2,12 @@
 
 Isomorphism search works on flags: mutually incident (vertex, edge, face)
 triples, read from each map's integer ``FlagTable``.  Fixing a flag
-correspondence forces the rest of the bijection by deterministic
-propagation, so testing maps for isomorphism costs one propagation per
-candidate start flag.  Orientation-reversing correspondences arise
-automatically because all flags on both sides of an edge are tried.
+correspondence forces the rest of the bijection: an isomorphism commutes
+with the flag involutions, so it carries the flag walk from one flag onto
+the flag walk from its image, step by step.  Testing maps for isomorphism
+costs one paired walk per candidate start flag.  Orientation-reversing
+correspondences arise automatically because all flags on both sides of an
+edge are tried.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import PolyhedralMap, canonical_face, edge_key, euler_characteristic
+from .core import (PolyhedralMap, canonical_face, edge_key, euler_characteristic,
+                   flag_walk)
 
 
 @dataclass(frozen=True)
@@ -39,33 +42,23 @@ class NotFlat(ValueError):
     """Raised where an operation requires Euler characteristic 0."""
 
 
-def _propagate(a: PolyhedralMap, b: PolyhedralMap,
-               start_a: int, start_b: int) -> Optional[list[int]]:
-    """Force a vertex bijection from one flag correspondence, or None."""
-    s1a, vert_a, face_a, _ = a.flags
-    s1b, vert_b, face_b, _ = b.flags
-    va = [-1] * a.n_vertices
+def _propagate(steps_a: list[tuple[int, int]], b: PolyhedralMap,
+               start_b: int) -> Optional[list[int]]:
+    """The vertex bijection that pairs a's flag walk, as (vertex, face size)
+    steps, with b's flag walk from ``start_b``; None at the first
+    disagreement.  The maps have equal vertex counts."""
+    _, vert_b, face_b, _ = b.flags
+    va = [-1] * b.n_vertices
     vb = [-1] * b.n_vertices
-    seen = [-1] * len(s1a)
-    seen[start_a] = start_b
-    stack = [(start_a, start_b)]
-    while stack:
-        fa, fb = stack.pop()
-        x, y = vert_a[fa], vert_b[fb]
+    for (x, size), fb in zip(steps_a, flag_walk(b, start_b)):
+        y = vert_b[fb]
         if va[x] == -1 and vb[y] == -1:
             va[x] = y
             vb[y] = x
         elif va[x] != y or vb[y] != x:
             return None
-        if len(a.faces[face_a[fa]]) != len(b.faces[face_b[fb]]):
+        if size != len(b.faces[face_b[fb]]):
             return None
-        for na, nb in ((fa ^ 2, fb ^ 2), (s1a[fa], s1b[fb]), (fa ^ 1, fb ^ 1)):
-            prev = seen[na]
-            if prev == -1:
-                seen[na] = nb
-                stack.append((na, nb))
-            elif prev != nb:
-                return None
     if -1 in va:
         return None  # cannot happen for connected maps, kept as a guard
     return va
@@ -104,8 +97,10 @@ def find_isomorphism(a: PolyhedralMap, b: PolyhedralMap,
     # the side-0 flag at u on the edge to its least neighbour
     w = a.adjacency[u][0]
     start_a = 4 * bisect_left(a.edges, edge_key(u, w)) + 2 * (u > w)
+    _, vert_a, face_a, _ = a.flags
+    steps_a = [(vert_a[x], len(a.faces[face_a[x]])) for x in flag_walk(a, start_a)]
     for fb in candidates:
-        mapping = _propagate(a, b, start_a, fb)
+        mapping = _propagate(steps_a, b, fb)
         if mapping is not None and _certifies(a, b, mapping):
             return Isomorphism(tuple(mapping))
     return None
@@ -132,21 +127,15 @@ def canonical_form(m: PolyhedralMap) -> CanonicalForm:
 
 
 def _traversal_labels(m: PolyhedralMap, start: int) -> tuple[int, ...]:
-    """Vertex labels in first-visit order of the flag BFS from ``start``."""
-    s1, vertex, _, _ = m.flags
+    """Vertex labels in the order ``flag_walk`` from ``start`` first
+    reaches the vertices."""
+    vertex = m.flags.vertex
     label = [-1] * m.n_vertices
     nxt = 0
-    seen = bytearray(len(s1))
-    seen[start] = 1
-    queue = [start]
-    for x in queue:  # the queue grows while it is read
+    for x in flag_walk(m, start):
         if label[vertex[x]] == -1:
             label[vertex[x]] = nxt
             nxt += 1
-        for y in (x ^ 2, s1[x], x ^ 1):
-            if not seen[y]:
-                seen[y] = 1
-                queue.append(y)
     return tuple(label)
 
 
@@ -210,36 +199,27 @@ class IntPolynomial:
 
 
 def charpoly(matrix: Sequence[Sequence[int]]) -> IntPolynomial:
-    """Characteristic polynomial det(xI - A) by the division-free
-    Samuelson-Berkowitz scheme; exact over arbitrary-precision integers."""
+    """Characteristic polynomial det(xI - A) by the Faddeev-LeVerrier
+    recurrence M_0 = 0, c_0 = 1, M_k = A(M_{k-1} + c_{k-1} I),
+    c_k = -tr(M_k) / k, with det(xI - A) = sum c_k x^(n-k); each product
+    runs over A's nonzero entries.  Every division is exact, so the result
+    is exact over the integers."""
     n = len(matrix)
-    if n == 0:
-        return IntPolynomial((1,))
-    A = [[int(x) for x in row] for row in matrix]
-    # grow principal submatrices from the bottom-right corner
-    poly = [1, -A[n - 1][n - 1]]  # leading coefficient first
-    for s in range(2, n + 1):
-        top = n - s
-        a = A[top][top]
-        R = A[top][top + 1:]
-        col = [A[i][top] for i in range(top + 1, n)]
-        B = [A[i][top + 1:] for i in range(top + 1, n)]
-        items = [1, -a]
-        vec = col
-        for k in range(2, s + 1):
-            items.append(-sum(r * c for r, c in zip(R, vec)))
-            if k < s:
-                vec = [sum(B[i][j] * vec[j] for j in range(s - 1))
-                       for i in range(s - 1)]
-        out = [0] * (s + 1)
-        for i in range(s + 1):
-            lo = max(0, i - s + 1 - 1)
-            acc = 0
-            for j in range(lo, min(i, s - 1) + 1):
-                acc += items[i - j] * poly[j]
-            out[i] = acc
-        poly = out
-    return IntPolynomial(tuple(reversed(poly)))
+    rows = [[(j, int(a)) for j, a in enumerate(row) if a] for row in matrix]
+    M = [[0] * n for _ in range(n)]
+    coeffs = [1]  # c_0, c_1, ...: leading coefficient first
+    for k in range(1, n + 1):
+        for i in range(n):
+            M[i][i] += coeffs[-1]
+        product = []
+        for row in rows:
+            acc = [0] * n
+            for j, a in row:
+                acc = [s + a * y for s, y in zip(acc, M[j])]
+            product.append(acc)
+        M = product
+        coeffs.append(-sum(M[i][i] for i in range(n)) // k)
+    return IntPolynomial(tuple(reversed(coeffs)))
 
 
 def adjacency_matrix(m: PolyhedralMap) -> list[list[int]]:

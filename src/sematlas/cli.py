@@ -331,7 +331,7 @@ def cmd_atlas(args) -> int:
         try:
             m = load_fixture(args.get)
         except UnknownFixture as exc:
-            print(f"error: unknown atlas id {exc}", file=sys.stderr)
+            print(f"error: unknown atlas id {exc.args[0]}", file=sys.stderr)
             return 1
         _write_text(args.out or f"{args.get}.map", semmap.serialize(m, comment=args.get))
         if args.out != "-":

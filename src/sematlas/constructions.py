@@ -25,6 +25,7 @@ from .core import (
     grid_coords,
     is_orientable,
     is_semi_equivelar,
+    two_colour,
     validate,
 )
 
@@ -333,7 +334,10 @@ def _grid_info(m: PolyhedralMap):
     if type(twist) is not int:
         raise NotGridMap(f"series tag has no integer twist: {twist!r}")
     rows = 2 if surface == "torus" else 3
-    if sorted(coord.values()) != [(r, c) for r in range(rows) for c in range(n)]:
+    # the vertex count bounds n before the layout is built from it
+    if (rows * n != m.n_vertices
+            or sorted(coord.values()) != [(r, c) for r in range(rows)
+                                          for c in range(n)]):
         raise NotGridMap(f"coords tag does not lay out {rows} rows of "
                          f"{n} columns")
     return surface, n, twist, coord
@@ -344,36 +348,8 @@ def _edge_is_horizontal(coord, u, v, n) -> bool:
     return (cu - cv) % n in (1, n - 1)
 
 
-def _two_colour(count: int, neighbours):
-    """2-colour the items 0..count-1 along a relation: ``neighbours(i)``
-    yields (j, flip) pairs, j to take i's colour XOR flip.  Returns
-    (components, colour): each component lists its items in the order the
-    walk reaches them, from its least item, which has colour 0.  None when
-    some item would need both colours."""
-    colour = [-1] * count
-    components = []
-    for start in range(count):
-        if colour[start] != -1:
-            continue
-        colour[start] = 0
-        comp = [start]
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j, flip in neighbours(i):
-                want = colour[i] ^ flip
-                if colour[j] == -1:
-                    colour[j] = want
-                    comp.append(j)
-                    stack.append(j)
-                elif colour[j] != want:
-                    return None
-        components.append(comp)
-    return components, colour
-
-
 def _face_walk(m: PolyhedralMap, rule):
-    """``_two_colour`` over the faces of ``m`` across their edges, where
+    """``two_colour`` over the faces of ``m`` across their edges, where
     ``rule(u, v)`` says what the edge {u, v} does: None, the walk does not
     cross it; 0, the colour stays; 1, it flips."""
     def neighbours(fi):
@@ -383,7 +359,7 @@ def _face_walk(m: PolyhedralMap, rule):
                 fa, fb = m.edge_faces(u, v)
                 yield (fb if fa == fi else fa), step
 
-    return _two_colour(m.n_faces, neighbours)
+    return two_colour(m.n_faces, neighbours)
 
 
 def _oriented_quad(m: PolyhedralMap, coord, n, face):
@@ -671,7 +647,7 @@ def subdivide_3464_to_346(m: PolyhedralMap) -> PolyhedralMap:
             (k1, p1), (k2, p2) = incidence[v]
             yield (k2 if k1 == k else k1), 1 ^ p1 ^ p2
 
-    walk = _two_colour(len(quads), neighbours)
+    walk = two_colour(len(quads), neighbours)
     if walk is None:
         raise NoConsistentDiagonalization(
             "diagonal parity conflicts around a quad cycle")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 
 class InvalidMapError(ValueError):
@@ -45,6 +45,15 @@ class LinkNotSingleCycle(InvalidMapError):
 
 class Disconnected(InvalidMapError):
     pass
+
+
+def _natural(token: str) -> int:
+    """A non-negative integer written in ASCII digits only, so ``+4``,
+    ``0_4`` and ``\u0664`` (an Arabic-Indic four), which ``int`` reads as 4,
+    are refused."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"{token!r} is not a string of digits 0-9")
+    return int(token)
 
 
 def canonical_face(face: Sequence[int]) -> tuple[int, ...]:
@@ -90,8 +99,8 @@ class FaceSeqType:
     @classmethod
     def parse(cls, text: str) -> "FaceSeqType":
         """Parse an expanded comma-separated type such as '3,3,3,4,4'."""
-        parts = [p for p in text.replace(";", ",").split(",") if p.strip()]
-        return cls(tuple(int(p) for p in parts))
+        parts = [p.strip() for p in text.replace(";", ",").split(",")]
+        return cls(tuple(_natural(p) for p in parts if p))
 
     def __str__(self) -> str:
         return "(" + ",".join(str(s) for s in self.sizes) + ")"
@@ -246,16 +255,10 @@ class PolyhedralMap:
                 raise LinkNotSingleCycle(
                     f"faces at vertex {v} split into more than one fan")
 
-        # connectivity over the 1-skeleton
-        reached = {0}
-        stack = [0]
-        adj = self.adjacency
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in reached:
-                    reached.add(w)
-                    stack.append(w)
+        # connectivity: the vertices of the flags reached from flag 0, which
+        # lies at vertex 0
+        vertex = self.flags.vertex
+        reached = {vertex[x] for x in flag_walk(self, 0)}
         if len(reached) != n:
             missing = min(set(range(n)) - reached)
             raise Disconnected(f"vertex {missing} unreachable from vertex 0")
@@ -347,22 +350,16 @@ class PolyhedralMap:
     def link_cycle(self, v: int) -> tuple[int, ...]:
         """Boundary cycle of the closed star of ``v``: neighbours plus the
         far vertices of larger faces, in fan order."""
-        fan = self.fan(v)
-        nbrs = self.link(v)
+        s1, vertex, _, _ = self.flags
         out: list[int] = []
-        for idx, fi in enumerate(fan):
-            face = self.faces[fi]
-            a = nbrs[idx]
-            b = nbrs[(idx + 1) % len(fan)]
-            # walk the face from a to b avoiding v
-            k = len(face)
-            i = face.index(a)
-            step = 1 if face[(i + 1) % k] != v else -1
-            path = [a]
-            while path[-1] != b:
-                i = (i + step) % k
-                path.append(face[i])
-            out.extend(path[:-1])
+        for x in self._rotation(v):
+            # round x's face from the neighbour on x's edge, stopping before
+            # the neighbour on the corner's other edge
+            end = vertex[s1[x] ^ 2]
+            y = x ^ 2
+            while vertex[y] != end:
+                out.append(vertex[y])
+                y = s1[y] ^ 2
         return tuple(out)
 
     def degree(self, v: int) -> int:
@@ -393,6 +390,50 @@ class PolyhedralMap:
             raise ValueError("relabeling must be a permutation of all vertices")
         faces = [tuple(perm[v] for v in f) for f in self.faces]
         return PolyhedralMap(self.n_vertices, faces)
+
+
+def flag_walk(m: PolyhedralMap, start: int) -> Iterator[int]:
+    """The flags reachable from ``start`` in breadth-first order, trying
+    each flag's neighbours as ``x ^ 2``, ``s1[x]``, ``x ^ 1``.  Lazy, so a
+    caller may stop at the first flag it rejects."""
+    s1 = m.flags.s1
+    seen = bytearray(len(s1))
+    seen[start] = 1
+    queue = [start]
+    for x in queue:  # the queue grows while it is read
+        yield x
+        for y in (x ^ 2, s1[x], x ^ 1):
+            if not seen[y]:
+                seen[y] = 1
+                queue.append(y)
+
+
+def two_colour(count: int, neighbours):
+    """2-colour the items 0..count-1 along a relation: ``neighbours(i)``
+    yields (j, flip) pairs, j to take i's colour XOR flip.  Returns
+    (components, colour): each component lists its items in the order the
+    walk reaches them, from its least item, which has colour 0.  None when
+    some item would need both colours."""
+    colour = [-1] * count
+    components = []
+    for start in range(count):
+        if colour[start] != -1:
+            continue
+        colour[start] = 0
+        comp = [start]
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j, flip in neighbours(i):
+                want = colour[i] ^ flip
+                if colour[j] == -1:
+                    colour[j] = want
+                    comp.append(j)
+                    stack.append(j)
+                elif colour[j] != want:
+                    return None
+        components.append(comp)
+    return components, colour
 
 
 def validate(faces: Iterable[Sequence[int]], n: int,
@@ -456,19 +497,11 @@ def is_orientable(m: PolyhedralMap) -> bool:
     """Whether the flags 2-colour so that each involution changes the
     colour; the two colour classes are then the map's two orientations."""
     s1 = m.flags.s1
-    colour = bytearray(len(s1))  # 0 unseen, else 1 or 2
-    colour[0] = 1
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        other = 3 - colour[x]
-        for y in (x ^ 2, s1[x], x ^ 1):
-            if not colour[y]:
-                colour[y] = other
-                stack.append(y)
-            elif colour[y] != other:
-                return False
-    return True
+
+    def neighbours(x):
+        return (x ^ 2, 1), (s1[x], 1), (x ^ 1, 1)
+
+    return two_colour(len(s1), neighbours) is not None
 
 
 def surface_id(m: PolyhedralMap) -> SurfaceId:

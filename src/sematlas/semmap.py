@@ -18,19 +18,11 @@ import json
 from pathlib import Path
 from typing import Union
 
-from .core import PolyhedralMap, canonical_face, validate
+from .core import PolyhedralMap, _natural, canonical_face, validate
 
 
 class SemmapFormatError(ValueError):
     pass
-
-
-def _natural(token: str) -> int:
-    """A vertex count or label: ASCII digits only, so ``+4``, ``0_4`` and
-    ``\u0664`` (an Arabic-Indic four), which ``int`` reads as 4, are refused."""
-    if not (token.isascii() and token.isdigit()):
-        raise ValueError(f"{token!r} is not a string of digits 0-9")
-    return int(token)
 
 
 def parse(text: str) -> PolyhedralMap:

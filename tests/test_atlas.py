@@ -38,6 +38,9 @@ def test_ids_name_surface_and_size(atlas, catalog):
 def test_unknown_id():
     with pytest.raises(UnknownFixture):
         load_fixture("T_9_99__5-5-5")
+    # ids come from the manifest, not from the file system
+    with pytest.raises(UnknownFixture):
+        load_fixture("../data/T_1_10__3-3-3-4-4")
 
 
 def test_double_entry_against_printed_links(atlas, t_1_10, k_1_10):

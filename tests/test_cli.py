@@ -11,6 +11,7 @@ from sematlas.constructions import (
     equivelar_series,
     subdivide_alternate_diagonals,
     subdivide_layer_diagonals,
+    subdivide_to_3636,
 )
 from sematlas.core import PolyhedralMap, is_orientable
 from sematlas.export import SvgUnsupported, to_svg
@@ -189,8 +190,12 @@ def test_atlas_list_and_get(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "atlas", "--get", "K_1_14__3-3-3-4-4")
     assert code == 0
     assert semmap.load(tmp_path / "K_1_14__3-3-3-4-4.map").n_vertices == 14
-    code, _, err = run(capsys, "atlas", "--get", "nope")
-    assert code == 1
+    # ids come from the manifest, not from the file system
+    for fid in ("nope", "manifest", "../data/T_1_10__3-3-3-4-4"):
+        code, out, err = run(capsys, "atlas", "--get", fid, "--out", "-")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: unknown atlas id {fid!r}; known ids: K_1_10")
+        assert len(err.splitlines()) == 1
 
 
 def test_env_budget_caps_search(tmp_path, capsys, monkeypatch):
@@ -229,6 +234,9 @@ def test_classify_usage_error(capsys):
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--type", "3,x", "--n", "10"],
     ["enumerate", "--type", "3,3", "--n", "10"],
+    # sizes are ASCII digits only, as in semmap files
+    ["enumerate", "--type", "+3,3_0,3,4,4", "--n", "10"],
+    ["enumerate", "--type", "\u0663,\u0663,\u0663,\u0664,\u0664", "--n", "10"],
     ["enumerate", "--type", "3,3,3,4,4", "--n", "-4"],
     ["classify", "--max-vertices", "10", "--types", "3,x"],
     ["classify", "--max-vertices", "10", "--types", "3,3"],
@@ -340,11 +348,15 @@ def test_svg_title_skips_a_series_tag_that_is_not_an_object(tmp_path):
     {"family": "4^4", "surface": "torus"},
     {"family": "4^4", "surface": "torus", "n": "7"},
     {"family": "4^4", "surface": "torus", "n": 0},
+    # refused by the vertex count, before n columns are laid out
+    {"family": "4^4", "surface": "torus", "n": 10**12},
 ])
 def test_malformed_series_is_not_a_grid_map(tmp_path, capsys, series):
     m, path = retagged_grid(tmp_path, series=series)
-    with pytest.raises(NotGridMap):
-        subdivide_layer_diagonals(m)
+    for op in (subdivide_layer_diagonals, subdivide_alternate_diagonals,
+               subdivide_to_3636):
+        with pytest.raises(NotGridMap):
+            op(m)
     code, out, err = run(capsys, "derive", "--ops", "subdivide-layer", path)
     assert_one_error_line(code, out, err, "NotGridMap")
 

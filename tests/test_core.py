@@ -153,6 +153,7 @@ class TestFaceSeqType:
 
     def test_parse(self):
         assert FaceSeqType.parse("3,3,3,4,4").sizes == (3, 3, 3, 4, 4)
+        assert FaceSeqType.parse(" 3, 3;3 ,4,4 ").sizes == (3, 3, 3, 4, 4)
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -188,6 +189,13 @@ MALFORMED_CORPUS = [
       (4, 5, 6), (4, 5, 7), (4, 6, 7), (5, 6, 7)], 8, Disconnected),
     ([], 0, Disconnected),
 ]
+
+
+def test_disconnected_names_the_least_unreachable_vertex():
+    faces = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
+             (4, 5, 6), (4, 5, 7), (4, 6, 7), (5, 6, 7)]
+    with pytest.raises(Disconnected, match="^vertex 4 unreachable from vertex 0$"):
+        validate(faces, 8)
 
 
 @pytest.mark.parametrize("faces,n,expected", MALFORMED_CORPUS)

@@ -46,6 +46,23 @@ def test_flag_walk_outputs_are_pinned():
     assert h.hexdigest() == GOLDEN_SHA256
 
 
+LINK_CYCLES_SHA256 = "c148b0a2fde18101fe728cb3d9d54d4be0d5366168d0d65270c20f57cf2aae65"
+
+
+def test_link_cycles_are_pinned():
+    # the closed-star boundaries of every atlas map and of one seeded
+    # relabeling of each, start point and sense included
+    h = hashlib.sha256()
+    for i, entry in enumerate(fixture_catalog()):
+        base = load_fixture(entry.id)
+        perm = list(range(base.n_vertices))
+        random.Random(1000 + i).shuffle(perm)
+        for m in (base, base.relabel(perm)):
+            for v in range(m.n_vertices):
+                h.update(f"{entry.id} {v} {m.link_cycle(v)}\n".encode())
+    assert h.hexdigest() == LINK_CYCLES_SHA256
+
+
 def _series():
     """Every series build for n = 3..16, torus twists -7..7."""
     for n in range(3, 17):
