@@ -109,30 +109,55 @@ def find_isomorphism(a: PolyhedralMap, b: PolyhedralMap,
 def canonical_form(m: PolyhedralMap) -> CanonicalForm:
     """Deterministic relabeling-invariant serialization of the map.
 
-    Runs the flag traversal from every start flag, labels vertices in
-    first-visit order, and keeps the lexicographically least of the
-    resulting canonical serializations.
+    Runs the flag traversal from start flags in index order, labels
+    vertices in first-visit order, and keeps the first lexicographically
+    least of the resulting canonical serializations.  Two walks with the
+    same serialization differ by an automorphism, which carries one walk
+    onto the other flag by flag; their flags are paired in a union-find,
+    and a start flag whose class already holds a walked flag is skipped,
+    since its serialization equals that earlier flag's.
     """
+    parent = list(range(len(m.flags.s1)))
+    walked = bytearray(len(parent))  # per class root: holds a walked flag
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     best: Optional[bytes] = None
     best_perm: Optional[tuple[int, ...]] = None
-    for start in range(len(m.flags.s1)):
-        perm = _traversal_labels(m, start)
+    best_walk: list[int] = []
+    for start in range(len(parent)):
+        r = root(start)
+        if walked[r]:
+            continue
+        walked[r] = 1
+        walk = list(flag_walk(m, start))
+        perm = _traversal_labels(m, walk)
         faces = sorted(canonical_face(tuple(perm[v] for v in f)) for f in m.faces)
         blob = b"\n".join(
             b" ".join(str(v).encode() for v in face) for face in faces)
         blob = str(m.n_vertices).encode() + b"\n" + blob
         if best is None or blob < best:
-            best, best_perm = blob, perm
+            best, best_perm, best_walk = blob, perm, walk
+        elif blob == best:
+            for x, y in zip(walk, best_walk):
+                rx, ry = root(x), root(y)
+                if rx != ry:
+                    parent[rx] = ry
+                    walked[ry] |= walked[rx]
     return CanonicalForm(best, best_perm)
 
 
-def _traversal_labels(m: PolyhedralMap, start: int) -> tuple[int, ...]:
-    """Vertex labels in the order ``flag_walk`` from ``start`` first
-    reaches the vertices."""
+def _traversal_labels(m: PolyhedralMap, walk: list[int]) -> tuple[int, ...]:
+    """Vertex labels in the order the flag walk ``walk`` first reaches the
+    vertices."""
     vertex = m.flags.vertex
     label = [-1] * m.n_vertices
     nxt = 0
-    for x in flag_walk(m, start):
+    for x in walk:
         if label[vertex[x]] == -1:
             label[vertex[x]] = nxt
             nxt += 1

@@ -13,12 +13,14 @@ import csv
 import io
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import semmap
 from .core import (
     FaceSeqType,
     InvalidMapError,
+    _natural,
     euler_characteristic,
     is_orientable,
     is_semi_equivelar,
@@ -342,12 +344,32 @@ def cmd_atlas(args) -> int:
     return 0
 
 
+def _natural_arg(token: str) -> int:
+    """An integer option value in ASCII digits, as in semmap files."""
+    try:
+        return _natural(token)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _integer_arg(token: str) -> int:
+    """``_natural_arg`` with one optional leading ``-``."""
+    if token.startswith("-"):
+        return -_natural_arg(token[1:])
+    return _natural_arg(token)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    # a malformed option value raises ArgumentError, which ``main`` reports
+    # in one line
     ap = argparse.ArgumentParser(
         prog="sematlas",
         description="Polyhedral maps on the torus and Klein bottle: "
-                    "validation, invariants, classification, constructions.")
-    sub = ap.add_subparsers(dest="command", required=True)
+                    "validation, invariants, classification, constructions.",
+        exit_on_error=False)
+    sub = ap.add_subparsers(dest="command", required=True,
+                            parser_class=partial(argparse.ArgumentParser,
+                                                 exit_on_error=False))
 
     p = sub.add_parser("validate", help="check the polyhedral-map conditions")
     p.add_argument("path")
@@ -361,29 +383,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("iso", help="find an isomorphism between two maps")
     p.add_argument("map_a")
     p.add_argument("map_b")
-    p.add_argument("--pin", nargs=2, type=int, metavar=("U", "V"))
+    p.add_argument("--pin", nargs=2, type=_natural_arg, metavar=("U", "V"))
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("enumerate", help="all maps of a type and vertex count")
     p.add_argument("--type", required=True, help="expanded type, e.g. 3,3,3,4,4")
-    p.add_argument("--n", required=True, type=int)
+    p.add_argument("--n", required=True, type=_natural_arg)
     p.add_argument("--out")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("classify", help="classification table over many types")
-    p.add_argument("--max-vertices", type=int, required=True)
+    p.add_argument("--max-vertices", type=_natural_arg, required=True)
     p.add_argument("--types", default="all",
                    help="semicolon-separated expanded types, or 'all'")
     p.add_argument("--out")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_natural_arg, default=1)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("construct", help="equivelar grid series")
     p.add_argument("--family", required=True, help="3^6 | 4^4 | 6^3 (or 4x4 ...)")
     p.add_argument("--surface", required=True, help="torus | klein")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--twist", type=int, default=None,
+    p.add_argument("--n", required=True, type=_natural_arg)
+    p.add_argument("--twist", type=_integer_arg, default=None,
                    help="vertical wrap shift for torus grids (default -3)")
     p.add_argument("--out")
     p.add_argument("--verify", action="store_true")
@@ -417,7 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        return _usage_error(str(exc))
     try:
         return args.func(args)
     except (InvalidMapError, semmap.SemmapFormatError, NotFlat, BudgetExceeded,

@@ -2,8 +2,10 @@
 
 from fractions import Fraction
 
-from sematlas.core import PolyhedralMap, edge_key
-from sematlas.classify import face_boundary_basis, _gf2_reduce
+from typing import Optional
+
+from sematlas.core import PolyhedralMap, canonical_face, edge_key, flag_walk
+from sematlas.classify import CanonicalForm, face_boundary_basis, _gf2_reduce
 
 
 def brute_force_systole(m: PolyhedralMap) -> int:
@@ -74,3 +76,31 @@ def gauss_determinant(matrix) -> int:
                 a[r] = [x - factor * y for x, y in zip(a[r], a[k])]
     assert det.denominator == 1
     return int(det)
+
+
+def exhaustive_canonical_form(m: PolyhedralMap) -> CanonicalForm:
+    """``canonical_form`` without the automorphism cut: the flag traversal
+    from every start flag, vertices labelled in first-visit order, and the
+    first lexicographically least serialization kept."""
+
+    def traversal_labels(start):
+        vertex = m.flags.vertex
+        label = [-1] * m.n_vertices
+        nxt = 0
+        for x in flag_walk(m, start):
+            if label[vertex[x]] == -1:
+                label[vertex[x]] = nxt
+                nxt += 1
+        return tuple(label)
+
+    best: Optional[bytes] = None
+    best_perm: Optional[tuple[int, ...]] = None
+    for start in range(len(m.flags.s1)):
+        perm = traversal_labels(start)
+        faces = sorted(canonical_face(tuple(perm[v] for v in f)) for f in m.faces)
+        blob = b"\n".join(
+            b" ".join(str(v).encode() for v in face) for face in faces)
+        blob = str(m.n_vertices).encode() + b"\n" + blob
+        if best is None or blob < best:
+            best, best_perm = blob, perm
+    return CanonicalForm(best, best_perm)

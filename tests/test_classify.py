@@ -15,9 +15,11 @@ from sematlas.classify import (
     homological_systole,
     is_vertex_transitive,
 )
-from sematlas.core import canonical_face, validate
+from sematlas.constructions import ParamOutOfRange, SeriesParams, equivelar_series
+from sematlas.core import canonical_face, flag_walk, validate
+from sematlas.enumeration import classify_all
 
-from oracles import brute_force_systole, gauss_determinant
+from oracles import brute_force_systole, exhaustive_canonical_form, gauss_determinant
 
 
 class TestIsomorphism:
@@ -85,6 +87,38 @@ class TestCanonicalForm:
         cf = canonical_form(t_1_10)
         relabeled = t_1_10.relabel(cf.relabeling)
         assert canonical_form(relabeled).form == cf.form
+
+    def test_matches_the_exhaustive_form(self, atlas):
+        # the orbit cut must keep the every-start-flag form and relabeling
+        maps = [atlas[k] for k in sorted(atlas)]
+        for n in range(3, 11):
+            for family in ("3^6", "4^4", "6^3"):
+                for surface in ("torus", "klein_bottle"):
+                    try:
+                        maps.append(equivelar_series(SeriesParams(family, surface, n)))
+                    except ParamOutOfRange:
+                        pass
+        maps += [m for row in classify_all(14) for m in row.maps]
+        rng = random.Random(12)
+        for m in maps:
+            perm = list(range(m.n_vertices))
+            rng.shuffle(perm)
+            for each in (m, m.relabel(perm)):
+                assert canonical_form(each) == exhaustive_canonical_form(each)
+
+    def test_walks_one_start_flag_per_orbit(self, monkeypatch):
+        # the 60-vertex 4^4 torus grid has 480 flags in few orbits
+        m = equivelar_series(SeriesParams("4^4", "torus", 30))
+        assert len(m.flags.s1) == 480
+        walks = []
+
+        def counting_walk(m, start):
+            walks.append(start)
+            return flag_walk(m, start)
+
+        monkeypatch.setattr(classify, "flag_walk", counting_walk)
+        canonical_form(m)
+        assert len(walks) <= 16
 
     def test_equality_iff_isomorphic_on_small_fixtures(self, atlas):
         small = sorted(k for k, m in atlas.items() if m.n_vertices <= 14)

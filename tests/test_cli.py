@@ -256,6 +256,14 @@ def test_classify_usage_error(capsys):
         ["export"],
         ["cover"],
     )),
+    # integer options are ASCII digits only, too
+    ["enumerate", "--type", "3,3,3,4,4", "--n", "+1_0"],
+    ["classify", "--max-vertices", "\u0661\u0660"],
+    ["classify", "--max-vertices", "8", "--jobs", "+1"],
+    ["iso", str(FIX / "T_1_10__3-3-3-4-4.map"), str(FIX / "T_1_10__3-3-3-4-4.map"),
+     "--pin", "0", "+1"],
+    ["construct", "--family", "4^4", "--surface", "torus", "--n", "8",
+     "--twist", "1_0"],
 ])
 def test_usage_errors_exit_2_with_one_line(capsys, tmp_path, argv):
     (tmp_path / "non-utf-8.map").write_bytes(b"\xff\xfe semmap 1\n")
@@ -265,6 +273,14 @@ def test_usage_errors_exit_2_with_one_line(capsys, tmp_path, argv):
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err and out == ""
+
+
+def test_twist_takes_a_minus_sign(capsys, tmp_path):
+    out = tmp_path / "grid.map"
+    code, _, _ = run(capsys, "construct", "--family", "4^4", "--surface", "torus",
+                     "--n", "8", "--twist", "-4", "--out", str(out))
+    assert code == 0
+    assert semmap.load(out) == equivelar_series(SeriesParams("4^4", "torus", 8, twist=-4))
 
 
 def test_classify_checks_euler_characteristic(monkeypatch):
