@@ -1,7 +1,6 @@
 """Independent reference implementations used only to check the library."""
 
 from fractions import Fraction
-
 from typing import Optional
 
 from sematlas.core import PolyhedralMap, canonical_face, edge_key, flag_walk
