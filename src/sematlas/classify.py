@@ -224,26 +224,35 @@ class IntPolynomial:
 
 
 def charpoly(matrix: Sequence[Sequence[int]]) -> IntPolynomial:
-    """Characteristic polynomial det(xI - A) by the Faddeev-LeVerrier
-    recurrence M_0 = 0, c_0 = 1, M_k = A(M_{k-1} + c_{k-1} I),
-    c_k = -tr(M_k) / k, with det(xI - A) = sum c_k x^(n-k); each product
-    runs over A's nonzero entries.  Every division is exact, so the result
-    is exact over the integers."""
+    """Characteristic polynomial det(xI - A) = sum c_k x^(n-k) from the
+    power sums p_k = tr(A^k) by Newton's identities
+    k c_k = -(c_{k-1} p_1 + ... + c_0 p_k), c_0 = 1; every division is exact.
+
+    Each row of A^k is one integer holding its n entries in b-bit slots
+    (Kronecker substitution), so a row of A^k is a sum of rows of A^(k-1),
+    one big-integer add per nonzero entry of A.  With r the largest absolute
+    row sum of A, every entry of A^k with k <= n is at most r^n in absolute
+    value, and 2^(b-1) > r^n keeps each slot apart from its neighbours."""
     n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError(f"charpoly needs a square matrix; got row lengths "
+                         f"{[len(row) for row in matrix]}")
     rows = [[(j, int(a)) for j, a in enumerate(row) if a] for row in matrix]
-    M = [[0] * n for _ in range(n)]
+    r = max((sum(abs(a) for _, a in row) for row in rows), default=0)
+    b = (r ** n).bit_length() + 2
+    half = 1 << (b - 1)
+    mask = (1 << b) - 1
+    # ``half`` in every slot: a negative entry then borrows from no neighbour
+    offset = sum(half << (i * b) for i in range(n))
+    power = [1 << (i * b) for i in range(n)]  # the rows of A^0 = I
+    sums = []  # p_1, p_2, ...
     coeffs = [1]  # c_0, c_1, ...: leading coefficient first
     for k in range(1, n + 1):
-        for i in range(n):
-            M[i][i] += coeffs[-1]
-        product = []
-        for row in rows:
-            acc = [0] * n
-            for j, a in row:
-                acc = [s + a * y for s, y in zip(acc, M[j])]
-            product.append(acc)
-        M = product
-        coeffs.append(-sum(M[i][i] for i in range(n)) // k)
+        power = [sum(power[j] if a == 1 else a * power[j] for j, a in row)
+                 for row in rows]
+        sums.append(sum((((row + offset) >> (i * b)) & mask) - half
+                        for i, row in enumerate(power)))
+        coeffs.append(-sum(c * p for c, p in zip(coeffs, reversed(sums))) // k)
     return IntPolynomial(tuple(reversed(coeffs)))
 
 

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from functools import partial
 from pathlib import Path
 
 from . import semmap
@@ -359,17 +358,20 @@ def _integer_arg(token: str) -> int:
     return _natural_arg(token)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose every usage error raises ``ArgumentError``,
+    which ``main`` reports in one line; ``--help`` still exits 0."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    # a malformed option value raises ArgumentError, which ``main`` reports
-    # in one line
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="sematlas",
         description="Polyhedral maps on the torus and Klein bottle: "
-                    "validation, invariants, classification, constructions.",
-        exit_on_error=False)
-    sub = ap.add_subparsers(dest="command", required=True,
-                            parser_class=partial(argparse.ArgumentParser,
-                                                 exit_on_error=False))
+                    "validation, invariants, classification, constructions.")
+    sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check the polyhedral-map conditions")
     p.add_argument("path")

@@ -1,10 +1,15 @@
 """Independent reference implementations used only to check the library."""
 
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from sematlas.core import PolyhedralMap, canonical_face, edge_key, flag_walk
-from sematlas.classify import CanonicalForm, face_boundary_basis, _gf2_reduce
+from sematlas.classify import (
+    CanonicalForm,
+    IntPolynomial,
+    face_boundary_basis,
+    _gf2_reduce,
+)
 
 
 def brute_force_systole(m: PolyhedralMap) -> int:
@@ -75,6 +80,30 @@ def gauss_determinant(matrix) -> int:
                 a[r] = [x - factor * y for x, y in zip(a[r], a[k])]
     assert det.denominator == 1
     return int(det)
+
+
+def faddeev_leverrier_charpoly(matrix: Sequence[Sequence[int]]) -> IntPolynomial:
+    """Characteristic polynomial det(xI - A) by the Faddeev-LeVerrier
+    recurrence M_0 = 0, c_0 = 1, M_k = A(M_{k-1} + c_{k-1} I),
+    c_k = -tr(M_k) / k, with det(xI - A) = sum c_k x^(n-k); each product
+    runs over A's nonzero entries.  Every division is exact, so the result
+    is exact over the integers."""
+    n = len(matrix)
+    rows = [[(j, int(a)) for j, a in enumerate(row) if a] for row in matrix]
+    M = [[0] * n for _ in range(n)]
+    coeffs = [1]  # c_0, c_1, ...: leading coefficient first
+    for k in range(1, n + 1):
+        for i in range(n):
+            M[i][i] += coeffs[-1]
+        product = []
+        for row in rows:
+            acc = [0] * n
+            for j, a in row:
+                acc = [s + a * y for s, y in zip(acc, M[j])]
+            product.append(acc)
+        M = product
+        coeffs.append(-sum(M[i][i] for i in range(n)) // k)
+    return IntPolynomial(tuple(reversed(coeffs)))
 
 
 def exhaustive_canonical_form(m: PolyhedralMap) -> CanonicalForm:

@@ -19,7 +19,12 @@ from sematlas.constructions import ParamOutOfRange, SeriesParams, equivelar_seri
 from sematlas.core import canonical_face, flag_walk, validate
 from sematlas.enumeration import classify_all
 
-from oracles import brute_force_systole, exhaustive_canonical_form, gauss_determinant
+from oracles import (
+    brute_force_systole,
+    exhaustive_canonical_form,
+    faddeev_leverrier_charpoly,
+    gauss_determinant,
+)
 
 
 class TestIsomorphism:
@@ -165,6 +170,35 @@ class TestCharPoly:
         random.Random(1).shuffle(perm)
         assert (edge_graph_char_poly(t_1_10).coefficients
                 == edge_graph_char_poly(t_1_10.relabel(perm)).coefficients)
+
+    def test_matches_faddeev_leverrier(self, atlas):
+        matrices = [adjacency_matrix(m) for _, m in sorted(atlas.items())]
+        matrices.append(adjacency_matrix(
+            equivelar_series(SeriesParams("4^4", "torus", 30))))
+        rng = random.Random(13)
+        for _ in range(300):
+            n = rng.randint(0, 10)
+            matrices.append([[rng.randint(-5, 5) for _ in range(n)]
+                             for _ in range(n)])
+        # entries near +-10^6: the slot width must hold r^n, not just r
+        big = 10 ** 6
+        for n in (1, 2, 5, 8):
+            matrices.append([[rng.choice((big, -big, big - 1, 1 - big, 0, 1))
+                              for _ in range(n)] for _ in range(n)])
+        matrices.append([[big] * 6 for _ in range(6)])
+        matrices.append([[-big if i == j else big for j in range(6)]
+                         for i in range(6)])
+        for A in matrices:
+            assert charpoly(A) == faddeev_leverrier_charpoly(A), A
+
+    @pytest.mark.parametrize("matrix", [
+        [[1, 2, 3]],
+        [[0, 1], [1]],
+        [[0, 1], [1, 0], [1, 1]],
+    ])
+    def test_refuses_a_matrix_that_is_not_square(self, matrix):
+        with pytest.raises(ValueError):
+            charpoly(matrix)
 
 
 class TestSystole:

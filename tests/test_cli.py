@@ -264,6 +264,11 @@ def test_classify_usage_error(capsys):
      "--pin", "0", "+1"],
     ["construct", "--family", "4^4", "--surface", "torus", "--n", "8",
      "--twist", "1_0"],
+    # argparse's own errors: no subcommand, a missing required option, an
+    # unrecognised argument
+    [],
+    ["enumerate", "--type", "3,3,3,4,4"],
+    ["classify", "--max-vertices", "8", "--bogus"],
 ])
 def test_usage_errors_exit_2_with_one_line(capsys, tmp_path, argv):
     (tmp_path / "non-utf-8.map").write_bytes(b"\xff\xfe semmap 1\n")
@@ -273,6 +278,14 @@ def test_usage_errors_exit_2_with_one_line(capsys, tmp_path, argv):
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["classify", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: sematlas")
 
 
 def test_twist_takes_a_minus_sign(capsys, tmp_path):
