@@ -8,6 +8,9 @@ the flag walk from its image, step by step.  Testing maps for isomorphism
 costs one paired walk per candidate start flag.  Orientation-reversing
 correspondences arise automatically because all flags on both sides of an
 edge are tried.
+
+``canonical_form``'s union-find classes are automorphism orbits on the
+flags, and ``is_vertex_transitive`` reads the winning start flag's orbit.
 """
 
 from __future__ import annotations
@@ -106,8 +109,9 @@ def find_isomorphism(a: PolyhedralMap, b: PolyhedralMap,
     return None
 
 
-def canonical_form(m: PolyhedralMap) -> CanonicalForm:
-    """Deterministic relabeling-invariant serialization of the map.
+def _least_walk(m: PolyhedralMap) -> tuple[bytes, tuple[int, ...], list[int]]:
+    """The least serialization over the start flags, its relabeling, and
+    the winning start flag's orbit under the automorphism group.
 
     Runs the flag traversal from start flags in index order, labels
     vertices in first-visit order, and keeps the first lexicographically
@@ -115,7 +119,9 @@ def canonical_form(m: PolyhedralMap) -> CanonicalForm:
     same serialization differ by an automorphism, which carries one walk
     onto the other flag by flag; their flags are paired in a union-find,
     and a start flag whose class already holds a walked flag is skipped,
-    since its serialization equals that earlier flag's.
+    since its serialization equals that earlier flag's.  Every flag with
+    the least serialization is paired with the winning start flag, so its
+    class is its orbit under Aut, which acts freely: |Aut| flags.
     """
     parent = list(range(len(m.flags.s1)))
     walked = bytearray(len(parent))  # per class root: holds a walked flag
@@ -148,7 +154,14 @@ def canonical_form(m: PolyhedralMap) -> CanonicalForm:
                 if rx != ry:
                     parent[rx] = ry
                     walked[ry] |= walked[rx]
-    return CanonicalForm(best, best_perm)
+    winner = root(best_walk[0])
+    return best, best_perm, [x for x in range(len(parent)) if root(x) == winner]
+
+
+def canonical_form(m: PolyhedralMap) -> CanonicalForm:
+    """Deterministic relabeling-invariant serialization (``_least_walk``)."""
+    form, relabeling, _ = _least_walk(m)
+    return CanonicalForm(form, relabeling)
 
 
 def _traversal_labels(m: PolyhedralMap, walk: list[int]) -> tuple[int, ...]:
@@ -169,18 +182,10 @@ def is_isomorphic(a: PolyhedralMap, b: PolyhedralMap) -> bool:
 
 
 def is_vertex_transitive(m: PolyhedralMap) -> bool:
-    """Whether some automorphism carries vertex 0 to every other vertex."""
-    known = {0}
-    for v in range(1, m.n_vertices):
-        if v in known:
-            continue
-        iso = find_isomorphism(m, m, pin=(0, v))
-        if iso is None:
-            return False
-        # images of already-reached vertices extend the orbit for free
-        known |= {iso[w] for w in known}
-        known.add(v)
-    return True
+    """Whether the automorphisms carry vertex 0 to every other vertex: the
+    flag orbit that ``canonical_form``'s search finds meets every vertex."""
+    vertex = m.flags.vertex
+    return len({vertex[x] for x in _least_walk(m)[2]}) == m.n_vertices
 
 
 # -- exact characteristic polynomial ----------------------------------------
@@ -279,17 +284,6 @@ def _gf2_reduce(vec: int, basis: list[int]) -> int:
     return vec
 
 
-def _gf2_insert(vec: int, basis: list[int]) -> bool:
-    """Reduce ``vec`` against ``basis``; insert if independent."""
-    for b in basis:
-        vec = min(vec, vec ^ b)
-    if vec == 0:
-        return False
-    basis.append(vec)
-    basis.sort(reverse=True)
-    return True
-
-
 def face_boundary_basis(m: PolyhedralMap) -> tuple[dict[tuple[int, int], int], list[int]]:
     """Edge-index map and a GF(2) basis of the face-boundary space."""
     edge_index = {e: i for i, e in enumerate(m.edges)}
@@ -299,7 +293,10 @@ def face_boundary_basis(m: PolyhedralMap) -> tuple[dict[tuple[int, int], int], l
         k = len(face)
         for i in range(k):
             vec ^= 1 << edge_index[edge_key(face[i], face[(i + 1) % k])]
-        _gf2_insert(vec, basis)
+        # a kept vector has every earlier one's leading bit clear: no sort
+        vec = _gf2_reduce(vec, basis)
+        if vec:
+            basis.append(vec)
     return edge_index, basis
 
 

@@ -540,15 +540,16 @@ def classify_all(n_max: int, types: Optional[Sequence[FaceSeqType]] = None,
                  jobs: int = 1) -> list[ReportRow]:
     """Classification table over the given types for all feasible n <= n_max.
 
-    A type the gate rejects for every n gets one row with the reason.  Rows
-    come sorted by (type, n).  ``jobs > 1`` searches the cells in that many
-    processes; the rows are the same either way.  SEM_ATLAS_BUDGET is read
-    once, before any cell is searched.
+    A type the gate rejects for every n gets one row with the reason.  A
+    type named twice is searched once.  Rows come sorted by (type, n).
+    ``jobs > 1`` searches the cells in that many processes; the rows are
+    the same either way.  SEM_ATLAS_BUDGET is read once, before any cell
+    is searched.
     """
     budget = _env_budget()
     rows: list[ReportRow] = []
     cells: list[tuple[FaceSeqType, int]] = []
-    for t in (types if types is not None else ALL_FLAT_TYPES):
+    for t in dict.fromkeys(types if types is not None else ALL_FLAT_TYPES):
         ns = min_vertices_gate(t, n_max)
         if not ns:
             rows.append(ReportRow(t, 0, 0, 0, 0,

@@ -8,6 +8,7 @@ from sematlas.classify import (
     CanonicalForm,
     IntPolynomial,
     face_boundary_basis,
+    find_isomorphism,
     _gf2_reduce,
 )
 
@@ -132,3 +133,20 @@ def exhaustive_canonical_form(m: PolyhedralMap) -> CanonicalForm:
         if best is None or blob < best:
             best, best_perm = blob, perm
     return CanonicalForm(best, best_perm)
+
+
+def pinned_is_vertex_transitive(m: PolyhedralMap) -> bool:
+    """``is_vertex_transitive`` by one pinned isomorphism search per vertex
+    not yet reached: whether some automorphism carries vertex 0 to every
+    other vertex."""
+    known = {0}
+    for v in range(1, m.n_vertices):
+        if v in known:
+            continue
+        iso = find_isomorphism(m, m, pin=(0, v))
+        if iso is None:
+            return False
+        # images of already-reached vertices extend the orbit for free
+        known |= {iso[w] for w in known}
+        known.add(v)
+    return True

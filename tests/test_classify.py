@@ -15,7 +15,8 @@ from sematlas.classify import (
     homological_systole,
     is_vertex_transitive,
 )
-from sematlas.constructions import ParamOutOfRange, SeriesParams, equivelar_series
+from sematlas.constructions import (ParamOutOfRange, SeriesParams,
+                                    equivelar_series, truncate)
 from sematlas.core import canonical_face, flag_walk, validate
 from sematlas.enumeration import classify_all
 
@@ -24,6 +25,7 @@ from oracles import (
     exhaustive_canonical_form,
     faddeev_leverrier_charpoly,
     gauss_determinant,
+    pinned_is_vertex_transitive,
 )
 
 
@@ -76,6 +78,32 @@ class TestIsomorphism:
                  (1, 2, 4), (2, 3, 4), (1, 3, 4)]
         m = validate(faces, 5)
         assert not is_vertex_transitive(m)
+
+    def test_matches_the_pinned_search(self, atlas):
+        # one orbit of the canonical-form search decides what a pinned
+        # find_isomorphism per vertex decided before
+        series = []
+        for n in range(3, 11):
+            for family in ("3^6", "4^4", "6^3"):
+                for surface in ("torus", "klein_bottle"):
+                    try:
+                        series.append(equivelar_series(SeriesParams(family, surface, n)))
+                    except ParamOutOfRange:
+                        pass
+        maps = [atlas[k] for k in sorted(atlas)] + series
+        maps += [truncate(m) for m in series]
+        maps += [m for row in classify_all(16) for m in row.maps]
+        rng = random.Random(14)
+        verdicts = []
+        for m in maps:
+            perm = list(range(m.n_vertices))
+            rng.shuffle(perm)
+            for each in (m, m.relabel(perm)):
+                want = pinned_is_vertex_transitive(each)
+                assert is_vertex_transitive(each) == want
+                verdicts.append(want)
+        # both verdicts occur, so neither constant answer passes
+        assert 0 < sum(verdicts) < len(verdicts)
 
 
 class TestCanonicalForm:
@@ -229,9 +257,13 @@ class TestSystole:
 
 
 def test_no_bare_assert_in_the_library():
+    # a check that guards a result must survive ``python -O``, which
+    # strips asserts
     root = Path(classify.__file__).parent
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted(root.rglob("*.py"))
+    paths = sorted(root.rglob("*.py"))
+    assert {root / "classify.py", root / "atlas" / "__init__.py"} <= set(paths)
+    found = [f"{path.relative_to(root)}:{node.lineno}"
+             for path in paths
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []

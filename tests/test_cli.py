@@ -97,6 +97,14 @@ def test_classify_text_and_determinism(tmp_path, capsys):
     assert blob_a == blob_b
 
 
+def test_classify_names_a_repeated_type_once(capsys):
+    once = run(capsys, "classify", "--max-vertices", "12", "--types", "3,3,3,4,4")
+    twice = run(capsys, "classify", "--max-vertices", "12",
+                "--types", "3,3,3,4,4;4,4,3,3,3")
+    assert twice == once
+    assert "total maps: 7 " in once[1]
+
+
 def test_classify_csv_and_json(capsys):
     code, out, _ = run(capsys, "classify", "--max-vertices", "12",
                        "--types", "3,3,3,4,4;3,12,12", "--format", "csv")

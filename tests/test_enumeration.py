@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import re
+from collections import Counter
 
 import pytest
 
@@ -303,6 +304,42 @@ def test_dedupe_keeps_the_first_map_of_each_class():
     assert n_completed > n_kept
 
 
+def test_each_class_is_completed_once_per_rooting_orbit():
+    """The orbit-counting identity, a check of completeness and dedupe that
+    does not rest on ``find_isomorphism``.  The search roots a map at a
+    vertex and at a reading of its fan as the type, and completes each
+    rooting once up to the automorphisms, which act freely on rootings.  So
+    a class M on n vertices is completed n*s(t)/|Aut(M)| times, with s(t)
+    the rotations and reflections that fix the cyclic type and |Aut(M)| the
+    size of the flag orbit that the canonical-form search finds."""
+    from sematlas.classify import _least_walk
+    from sematlas.enumeration import ALL_FLAT_TYPES, _Searcher
+
+    class Recording(_Searcher):
+        def _emit_if_complete(self):
+            if self.used == self.n and not any(self.budgets.values()):
+                completed.append(PolyhedralMap(self.n, list(self.faces)))
+            super()._emit_if_complete()
+
+    n_completed = n_classes = 0
+    for t in ALL_FLAT_TYPES:
+        turns = [t.sizes[k:] + t.sizes[:k] for k in range(len(t))]
+        s_t = sum(turn == t.sizes for turn in turns) + sum(
+            turn[::-1] == t.sizes for turn in turns)
+        for n in min_vertices_gate(t, 20):
+            completed = []
+            s = Recording(t, n, face_counts(t, n), None)
+            s.run()
+            times = Counter(canonical_form(m).form for m in completed)
+            assert len(times) == len(s.results), (t, n)
+            for m in s.results:
+                form, _, orbit = _least_walk(m)
+                assert times[form] * len(orbit) == n * s_t, (t, n)
+            n_completed += len(completed)
+            n_classes += len(s.results)
+    assert (n_completed, n_classes) == (90, 44)
+
+
 #: SHA-256 over the semmap text of every map of ``classify_all(20)``, in
 #: row order, recorded when the search still deduplicated by canonical
 #: form.  The census must keep its representatives, byte for byte.
@@ -351,3 +388,14 @@ class TestClassifyAll:
         rows = classify_all(12, [FaceSeqType((3, 12, 12)), T334])
         assert [(r.type, r.n) for r in rows] == [
             (T334, 8), (T334, 10), (T334, 12), (FaceSeqType((3, 12, 12)), 0)]
+
+    def test_a_type_named_twice_is_searched_once(self):
+        def table(rows):
+            return [(r.type, r.n, r.total, r.orientable, r.infeasible_reason,
+                     [serialize(m) for m in r.maps]) for r in rows]
+
+        once = table(classify_all(12, [T334, FaceSeqType((3, 12, 12))]))
+        twice = table(classify_all(12, [T334, FaceSeqType((3, 12, 12)),
+                                        FaceSeqType((4, 4, 3, 3, 3)), T334,
+                                        FaceSeqType((3, 12, 12))]))
+        assert twice == once
