@@ -274,12 +274,12 @@ def test_search_tree_is_pinned():
     assert got == SEARCH_TREE
 
 
-def test_dedupe_keeps_the_first_map_of_each_class():
-    """The search keeps a completed map unless it is isomorphic to one
-    already kept.  Checked here against canonical forms, an independent
-    test of sameness: the kept maps are the first completed map of each
-    distinct form, in the order the search completes them."""
-    from sematlas.enumeration import ALL_FLAT_TYPES, _Searcher
+def _recorded_search(t, n):
+    """Every map the search of cell (t, n) completes, in order, and the
+    maps it keeps."""
+    from sematlas.enumeration import _Searcher
+
+    completed = []
 
     class Recording(_Searcher):
         def _emit_if_complete(self):
@@ -287,19 +287,29 @@ def test_dedupe_keeps_the_first_map_of_each_class():
                 completed.append(PolyhedralMap(self.n, list(self.faces)))
             super()._emit_if_complete()
 
+    s = Recording(t, n, face_counts(t, n), None)
+    s.run()
+    return completed, s.results
+
+
+def test_dedupe_keeps_the_first_map_of_each_class():
+    """The search keeps a completed map unless it is isomorphic to one
+    already kept.  Checked here against canonical forms, an independent
+    test of sameness: the kept maps are the first completed map of each
+    distinct form, in the order the search completes them."""
+    from sematlas.enumeration import ALL_FLAT_TYPES
+
     n_completed = n_kept = 0
     for t in ALL_FLAT_TYPES:
         for n in min_vertices_gate(t, 16):
-            completed = []
-            s = Recording(t, n, face_counts(t, n), None)
-            s.run()
+            completed, kept = _recorded_search(t, n)
             first = {}
             for m in completed:
                 first.setdefault(canonical_form(m).form, m)
-            assert ([serialize(m) for m in s.results]
+            assert ([serialize(m) for m in kept]
                     == [serialize(m) for m in first.values()]), (t, n)
             n_completed += len(completed)
-            n_kept += len(s.results)
+            n_kept += len(kept)
     # the check has teeth: some cells complete one class more than once
     assert n_completed > n_kept
 
@@ -313,13 +323,7 @@ def test_each_class_is_completed_once_per_rooting_orbit():
     the rotations and reflections that fix the cyclic type and |Aut(M)| the
     size of the flag orbit that the canonical-form search finds."""
     from sematlas.classify import _least_walk
-    from sematlas.enumeration import ALL_FLAT_TYPES, _Searcher
-
-    class Recording(_Searcher):
-        def _emit_if_complete(self):
-            if self.used == self.n and not any(self.budgets.values()):
-                completed.append(PolyhedralMap(self.n, list(self.faces)))
-            super()._emit_if_complete()
+    from sematlas.enumeration import ALL_FLAT_TYPES
 
     n_completed = n_classes = 0
     for t in ALL_FLAT_TYPES:
@@ -327,16 +331,14 @@ def test_each_class_is_completed_once_per_rooting_orbit():
         s_t = sum(turn == t.sizes for turn in turns) + sum(
             turn[::-1] == t.sizes for turn in turns)
         for n in min_vertices_gate(t, 20):
-            completed = []
-            s = Recording(t, n, face_counts(t, n), None)
-            s.run()
+            completed, kept = _recorded_search(t, n)
             times = Counter(canonical_form(m).form for m in completed)
-            assert len(times) == len(s.results), (t, n)
-            for m in s.results:
+            assert len(times) == len(kept), (t, n)
+            for m in kept:
                 form, _, orbit = _least_walk(m)
                 assert times[form] * len(orbit) == n * s_t, (t, n)
             n_completed += len(completed)
-            n_classes += len(s.results)
+            n_classes += len(kept)
     assert (n_completed, n_classes) == (90, 44)
 
 
