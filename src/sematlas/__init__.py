@@ -30,7 +30,6 @@ from .classify import (
     edge_graph_char_poly,
     find_isomorphism,
     homological_systole,
-    is_isomorphic,
     is_vertex_transitive,
 )
 from . import atlas, constructions, enumeration, export, semmap

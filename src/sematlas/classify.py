@@ -177,10 +177,6 @@ def _traversal_labels(m: PolyhedralMap, walk: list[int]) -> tuple[int, ...]:
     return tuple(label)
 
 
-def is_isomorphic(a: PolyhedralMap, b: PolyhedralMap) -> bool:
-    return find_isomorphism(a, b) is not None
-
-
 def is_vertex_transitive(m: PolyhedralMap) -> bool:
     """Whether the automorphisms carry vertex 0 to every other vertex: the
     flag orbit that ``canonical_form``'s search finds meets every vertex."""

@@ -98,14 +98,12 @@ def equivelar_series(params: SeriesParams) -> PolyhedralMap:
     """The equivelar map of the requested family, surface and size."""
     fam, surf, n = params.family, params.surface, params.n
     try:
-        if surf == "torus":
-            if fam == "6^3":
-                return _torus_63(n)
-            twist = -3 if params.twist is None else params.twist
-            builder = {"3^6": _torus_36, "4^4": _torus_44}[fam]
-            return builder(n, twist)
-        builder = {"3^6": _klein_36, "4^4": _klein_44, "6^3": _klein_63}[fam]
-        return builder(n)
+        if fam == "6^3":
+            return _torus_63(n) if surf == "torus" else _klein_63(n)
+        twist = params.twist
+        if surf == "torus" and twist is None:
+            twist = -3
+        return _grid_series(fam, surf, n, twist)
     except ValueError as exc:
         if isinstance(exc, ParamOutOfRange):
             raise
@@ -138,23 +136,6 @@ def _torus_grid(n: int, twist: int):
     return quads, coords
 
 
-def _torus_44(n: int, twist: int = -3) -> PolyhedralMap:
-    quads, coords = _torus_grid(n, twist)
-    return validate(quads, 2 * n,
-                    tags=_series_tags("4^4", "torus", n, coords, twist))
-
-
-def _torus_36(n: int, twist: int = -3) -> PolyhedralMap:
-    quads, coords = _torus_grid(n, twist)
-    faces = []
-    for (p, q, r, s) in quads:
-        # diagonal from the first corner of the lower edge
-        faces.append((p, q, r))
-        faces.append((p, r, s))
-    return validate(faces, 2 * n,
-                    tags=_series_tags("3^6", "torus", n, coords, twist))
-
-
 def _torus_63(n: int) -> PolyhedralMap:
     # cycle 0..2n-1 plus chords i ~ i-5 at even i; one hexagon per chord pair
     N = 2 * n
@@ -185,25 +166,24 @@ def _klein_grid(n: int):
     return quads, coords
 
 
-def _klein_44(n: int) -> PolyhedralMap:
-    quads, coords = _klein_grid(n)
-    return validate(quads, 3 * n,
-                    tags=_series_tags("4^4", "klein_bottle", n, coords))
-
-
-def _klein_36(n: int) -> PolyhedralMap:
-    quads, coords = _klein_grid(n)
-    faces = []
-    for (p, q, r, s) in quads:
-        # diagonal from the second corner of the lower edge
-        faces.append((p, q, s))
-        faces.append((q, r, s))
-    return validate(faces, 3 * n,
-                    tags=_series_tags("3^6", "klein_bottle", n, coords))
+def _grid_series(family: str, surface: str, n: int,
+                 twist: Optional[int] = None) -> PolyhedralMap:
+    """The 4^4 grid of quads (p, q, r, s), lower edge p-q, on the torus
+    or the Klein bottle; for 3^6 each quad splits along its diagonal from
+    p on the torus and from q on the Klein bottle."""
+    torus = surface == "torus"
+    quads, coords = _torus_grid(n, twist) if torus else _klein_grid(n)
+    faces = quads
+    if family == "3^6":
+        faces = [f for p, q, r, s in quads
+                 for f in (((p, q, r), (p, r, s)) if torus
+                           else ((p, q, s), (q, r, s)))]
+    return validate(faces, len(coords),
+                    tags=_series_tags(family, surface, n, coords, twist))
 
 
 def _klein_63(n: int) -> PolyhedralMap:
-    m = dual(_klein_36(n))
+    m = dual(_grid_series("3^6", "klein_bottle", n))
     tags = dict(m.tags)
     tags["series"] = {"family": "6^3", "surface": "klein_bottle", "n": n}
     return PolyhedralMap(m.n_vertices, m.faces, tags=tags)

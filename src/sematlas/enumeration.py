@@ -14,6 +14,12 @@ map is kept only when ``find_isomorphism`` finds no isomorphism to a map
 already kept, so the output lists every map of the requested type and
 vertex count exactly once up to isomorphism, each class by the first map
 the search completes in it.
+
+``face_counts`` is the one per-cell gate: it gives the faces of each
+size that the type and the vertex count force, the search's budgets, or
+None when no map fits the cell.  The census (``classify_all``) also
+gates out every type whose regular faces' angles at a vertex do not sum
+to 360 degrees, so it searches only types that can be flat.
 """
 
 from __future__ import annotations
@@ -61,46 +67,6 @@ class SearchInvariantError(RuntimeError):
     """A check on the search or its results failed: a defect, not bad input."""
 
 
-@dataclass(frozen=True)
-class Infeasible:
-    """Witness that no map of the type exists on the vertex count."""
-
-    reason: str
-
-    def __bool__(self) -> bool:
-        return False
-
-
-@dataclass(frozen=True)
-class FaceCountProfile:
-    counts: tuple[tuple[int, int], ...]  # (face size, count), size-sorted
-    n_edges: int
-
-    def count(self, size: int) -> int:
-        return dict(self.counts).get(size, 0)
-
-
-def face_counts(t: FaceSeqType, n: int):
-    """Per-size face counts forced by the type, or Infeasible.
-
-    A vertex of type ``t`` meets mult(p) faces of size p, and a p-gon has
-    p vertices, so count(p) = n * mult(p) / p; any non-integral count
-    rules the pair (t, n) out.
-    """
-    if n < 1:
-        return Infeasible("vertex count must be positive")
-    counts = []
-    for size in sorted(set(t.sizes)):
-        num = n * t.multiplicity(size)
-        if num % size:
-            return Infeasible(
-                f"count of {size}-gons would be {num}/{size}, not an integer")
-        counts.append((size, num // size))
-    if (n * t.degree) % 2:
-        return Infeasible(f"odd incidence total {n * t.degree}")
-    return FaceCountProfile(tuple(counts), (n * t.degree) // 2)
-
-
 def star_vertex_bound(t: FaceSeqType) -> int:
     """Vertices needed by the closed star of a single vertex.
 
@@ -110,15 +76,53 @@ def star_vertex_bound(t: FaceSeqType) -> int:
     return 1 + sum(p - 2 for p in t.sizes)
 
 
+def face_counts(t: FaceSeqType, n: int) -> Optional[dict[int, int]]:
+    """{face size: count} forced on a map of type ``t`` on ``n`` vertices,
+    or None when the cell (t, n) holds no map.
+
+    A vertex of type ``t`` meets mult(p) faces of size p, and a p-gon has
+    p vertices, so count(p) = n * mult(p) / p.  The cell is empty when a
+    count is fractional, when n * deg (twice the edge count) is odd, or
+    when n is below ``star_vertex_bound(t)``.  Flatness is no part of it:
+    the search runs on any type.
+    """
+    if n < star_vertex_bound(t) or (n * t.degree) % 2:
+        return None
+    counts = {}
+    for size in sorted(set(t.sizes)):
+        num = n * t.multiplicity(size)
+        if num % size:
+            return None
+        counts[size] = num // size
+    return counts
+
+
+def _angle_sum(t: FaceSeqType) -> str:
+    """The degrees of the regular faces' angles at a vertex of type ``t``,
+    exact: "360", or a reduced fraction such as "2700/7".  A map of the
+    type on n vertices has Euler characteristic n * (360 - sum) / 360, so
+    only "360" allows a flat map.  Integer arithmetic, not ``Fraction``,
+    whose import of ``decimal`` would cost the census memory."""
+    den = math.lcm(*t.sizes)
+    num = sum(180 * (p - 2) * den // p for p in t.sizes)
+    g = math.gcd(num, den)
+    return f"{num // g}" if den == g else f"{num // g}/{den // g}"
+
+
 def min_vertices_gate(t: FaceSeqType, n_max: int) -> list[int]:
-    """All vertex counts <= n_max passing divisibility and the star bound."""
-    lo = star_vertex_bound(t)
-    return [n for n in range(lo, n_max + 1)
-            if not isinstance(face_counts(t, n), Infeasible)]
+    """The vertex counts n <= n_max that ``face_counts`` admits; none when
+    the regular faces' angles at a vertex do not sum to 360 degrees."""
+    if _angle_sum(t) != "360":
+        return []
+    return [n for n in range(n_max + 1) if face_counts(t, n) is not None]
 
 
 def gate_reason(t: FaceSeqType, n_max: int) -> str:
     """Human-readable reason when the gate rejects every n <= n_max."""
+    angles = _angle_sum(t)
+    if angles != "360":
+        return (f"not flat: the face angles at a vertex sum to {angles} "
+                f"degrees, not 360")
     lo = star_vertex_bound(t)
     if lo > n_max:
         return (f"the closed star of one vertex already needs {lo} vertices, "
@@ -168,8 +172,11 @@ class _Searcher:
     every corner's fan merge (``_merged``) accepts it.  No vertex may
     appear twice on a link, so the merge alone decides how faces
     intersect and how many faces hold an edge.  ``_faces`` yields only
-    such faces, so ``_commit`` cannot fail; it returns the old fans of
-    the face's vertices, from which ``_undo`` reverses it.
+    such faces, so ``_commit`` cannot fail.  ``_commit`` and ``_undo``
+    alone move the search state: the faces, the fans, the face budgets
+    and ``used``, the count of labels taken.  ``_commit`` returns the
+    old fans of the face's vertices and the old ``used``, from which
+    ``_undo`` reverses it.
 
     ``fast_prunes`` guards the purely-speed prunes: the corner checks
     during candidate generation, the test of each candidate vertex's
@@ -180,8 +187,8 @@ class _Searcher:
     cells.
     """
 
-    def __init__(self, t: FaceSeqType, n: int, profile: FaceCountProfile,
-                 budget: Optional[int], fast_prunes: bool = True):
+    def __init__(self, t: FaceSeqType, n: int, budget: Optional[int],
+                 fast_prunes: bool = True):
         self.t = t.sizes
         self.deg = len(t.sizes)
         self.n = n
@@ -191,7 +198,7 @@ class _Searcher:
         self.faces: list[tuple[int, ...]] = []
         self.fragments: list[Optional[tuple]] = [()] * n
         self.used = 0
-        self.budgets = {size: cnt for size, cnt in profile.counts}
+        self.budgets = face_counts(t, n)
         self.results: list[PolyhedralMap] = []
         #: open edge (v, end) -> the last face found to fill it, fresh
         #: labels stored as offsets ~k from ``used``
@@ -264,19 +271,24 @@ class _Searcher:
         return new
 
     def _commit(self, face: tuple[int, ...], fans: list) -> tuple:
-        """Commit ``face`` with the fans ``_new_fans`` gave it; return the
-        old fans of its vertices."""
-        old = tuple(self.fragments[v] for v in face)
+        """Commit ``face`` with the fans ``_new_fans`` gave it, taking one
+        face of its size from the budget; fresh labels in it advance
+        ``used``.  Return the old fans of its vertices and the old ``used``."""
+        old = (tuple(self.fragments[v] for v in face), self.used)
         self.faces.append(face)
+        self.budgets[len(face)] -= 1
+        self.used = max(self.used, 1 + max(face))
         for v, frags in zip(face, fans):
             self.fragments[v] = frags
         return old
 
     def _undo(self, face: tuple[int, ...], old: tuple) -> None:
         """Reverse the commit of ``face``, the last face committed, given
-        the old fans ``_commit`` returned."""
+        what ``_commit`` returned."""
+        fans, self.used = old
         self.faces.pop()
-        for v, frags in zip(face, old):
+        self.budgets[len(face)] += 1
+        for v, frags in zip(face, fans):
             self.fragments[v] = frags
 
     # -- slot selection and candidate generation --
@@ -428,29 +440,19 @@ class _Searcher:
         self._recurse()
 
     def _initial_link(self) -> None:
-        """Fix the canonical closed fan around vertex 0 (the WLOG step)."""
-        t = self.t
-        self.used = 2
-        link0 = [1]
-        faces = []
-        for i, p in enumerate(t):
-            interior = list(range(self.used, self.used + p - 3))
-            self.used += p - 3
-            if i < len(t) - 1:
-                nxt = self.used
-                self.used += 1
-            else:
-                nxt = 1
-            faces.append((0, link0[-1], *interior, nxt))
-            link0.append(nxt)
-        for f in faces:
-            self.budgets[len(f)] -= 1
-            if self.budgets[len(f)] < 0:
-                raise SearchInvariantError("star exceeds face budget")
-            fans = self._new_fans(f)
+        """Fix the canonical closed fan around vertex 0 (the WLOG step):
+        its faces in the order of the type, each from the last link
+        vertex through fresh labels to the next.  ``face_counts`` admits
+        no n below the star's labels, so the budgets hold the star."""
+        fresh, prev = 2, 1
+        for i, p in enumerate(self.t):
+            nxt = fresh + p - 3 if i < self.deg - 1 else 1
+            face = (0, prev, *range(fresh, fresh + p - 3), nxt)
+            fresh, prev = fresh + p - 2, nxt
+            fans = self._new_fans(face)
             if fans is None:
                 raise SearchInvariantError("canonical star must glue cleanly")
-            self._commit(f, fans)
+            self._commit(face, fans)
 
     def _recurse(self) -> None:
         self.nodes += 1
@@ -470,15 +472,9 @@ class _Searcher:
         for size in self._allowed(v, end):
             # drawn up front: the recursion below commits and undoes faces
             for face in list(self._faces([end, v], size, self.used)):
-                old_used = self.used
-                # fresh labels inside the face advance the used counter
-                self.used = max(old_used, 1 + max(face))
-                self.budgets[size] -= 1
                 old = self._commit(face, self._new_fans(face))
                 self._recurse()
                 self._undo(face, old)
-                self.budgets[size] += 1
-                self.used = old_used
 
     def _emit_if_complete(self) -> None:
         if self.used != self.n:
@@ -513,12 +509,9 @@ def enumerate_sems(t: FaceSeqType, n: int,
     """
     if budget is None:
         budget = _env_budget()
-    profile = face_counts(t, n)
-    if isinstance(profile, Infeasible):
+    if face_counts(t, n) is None:
         return []
-    if n < star_vertex_bound(t):
-        return []
-    searcher = _Searcher(t, n, profile, budget)
+    searcher = _Searcher(t, n, budget)
     searcher.run()
     return searcher.results
 

@@ -121,6 +121,23 @@ def test_classify_csv_and_json(capsys):
         assert row["total"] == row["orientable"] + row["non_orientable"]
 
 
+@pytest.mark.parametrize("types", ["3,3,3", "3,3,3,3,3,3,3", "3,4,3,4", "7,7,7"])
+def test_classify_reports_a_type_that_is_not_flat(capsys, types):
+    code, out, err = run(capsys, "classify", "--max-vertices", "30",
+                         "--types", types)
+    assert (code, err) == (0, "")
+    assert f"{types:16}   -     -        -        -  infeasible: not flat:" in out
+    assert "total maps: 0 " in out
+
+
+def test_enumerate_still_finds_the_tetrahedron(tmp_path, capsys):
+    code, out, _ = run(capsys, "enumerate", "--type", "3,3,3", "--n", "4",
+                       "--out", str(tmp_path))
+    assert code == 0 and "1 map(s)" in out
+    (p,) = tmp_path.glob("*.map")
+    assert semmap.load(p).n_faces == 4
+
+
 def test_construct_and_verify(tmp_path, capsys):
     out_file = tmp_path / "grid.map"
     code, out, err = run(capsys, "construct", "--family", "4x4", "--surface",

@@ -16,7 +16,6 @@ from sematlas.core import (
 )
 from sematlas.enumeration import (
     BudgetExceeded,
-    Infeasible,
     SearchInvariantError,
     classify_all,
     enumerate_sems,
@@ -34,16 +33,22 @@ T334 = FaceSeqType((3, 3, 3, 4, 4))
 
 class TestFaceCounts:
     def test_example_10(self):
-        prof = face_counts(T334, 10)
-        assert prof.count(3) == 10 and prof.count(4) == 5
-        assert prof.n_edges == 25
+        counts = face_counts(T334, 10)
+        assert counts == {3: 10, 4: 5}
+        # each edge lies in two faces and at two vertices: 2E = n * deg
+        assert sum(p * c for p, c in counts.items()) == 10 * T334.degree == 2 * 25
 
     def test_parity_infeasible(self):
-        assert isinstance(face_counts(T334, 9), Infeasible)
+        assert face_counts(T334, 9) is None
+
+    def test_below_the_star_bound(self):
+        # the counts are integral (4 triangles, 2 quads, 10 edges), but
+        # one vertex's closed star needs 8 vertices
+        assert face_counts(T334, 4) is None
+        assert enumerate_sems(T334, 4) == []
 
     def test_kagome_counts(self):
-        prof = face_counts(FaceSeqType((3, 6, 3, 6)), 12)
-        assert prof.count(3) == 8 and prof.count(6) == 4
+        assert face_counts(FaceSeqType((3, 6, 3, 6)), 12) == {3: 8, 6: 4}
 
 
 class TestGate:
@@ -88,12 +93,8 @@ class TestSearch:
                 assert find_isomorphism(a, b) is None
 
     def test_budget_counts_match_profile(self):
-        prof = face_counts(T334, 12)
         for m in enumerate_sems(T334, 12):
-            sizes = {}
-            for f in m.faces:
-                sizes[len(f)] = sizes.get(len(f), 0) + 1
-            assert sizes == dict(prof.counts)
+            assert Counter(len(f) for f in m.faces) == face_counts(T334, 12)
 
     def test_deterministic(self):
         a = [canonical_form(m).form for m in enumerate_sems(T334, 12)]
@@ -171,12 +172,12 @@ class TestPruneSoundness:
         """The lookahead prunes must be pure accelerators: running without
         them yields the identical maps in the identical order, from a
         reference tree whose size is pinned."""
-        from sematlas.enumeration import _Searcher, face_counts
+        from sematlas.enumeration import _Searcher
 
         t = FaceSeqType(sizes)
         results = {}
         for fast in (True, False):
-            s = _Searcher(t, n, face_counts(t, n), None, fast_prunes=fast)
+            s = _Searcher(t, n, None, fast_prunes=fast)
             s.run()
             results[fast] = [serialize(m) for m in s.results]
         assert results[True] == results[False]
@@ -192,7 +193,7 @@ class TestPruneSoundness:
         t = FaceSeqType(sizes)
         results = {}
         for forget in (False, True):
-            s = _Searcher(t, n, face_counts(t, n), None)
+            s = _Searcher(t, n, None)
             if forget:
                 s.witnesses = _NoWitnesses()
             s.run()
@@ -217,8 +218,32 @@ class TestPruneSoundness:
                 return fans
 
         t = FaceSeqType(sizes)
-        Checked(t, n, face_counts(t, n), None, fast_prunes=False).run()
+        Checked(t, n, None, fast_prunes=False).run()
         assert unclean and all(fans is None for fans in unclean)
+
+    @pytest.mark.parametrize("sizes,n", PRUNE_CELLS)
+    def test_search_ends_where_the_star_left_it(self, sizes, n):
+        """Only ``_commit`` and ``_undo`` move the faces, the fans, the face
+        budgets and the used-label count, and each undo reverses its
+        commit: once the search is done, all four are as the fixed star
+        around vertex 0 left them."""
+        from sematlas.enumeration import _Searcher
+
+        def state(s):
+            return (list(s.faces), list(s.fragments), s.used, dict(s.budgets))
+
+        star = []
+
+        class Snapshot(_Searcher):
+            def _initial_link(self):
+                super()._initial_link()
+                star.append(state(self))
+
+        s = Snapshot(FaceSeqType(sizes), n, None)
+        s.run()
+        assert star == [state(s)]
+        assert len(s.faces) == len(sizes)
+        assert s.used == star_vertex_bound(FaceSeqType(sizes))
 
 
 def test_corner_check_counts_sizes():
@@ -230,7 +255,7 @@ def test_corner_check_counts_sizes():
     fan."""
     from sematlas.enumeration import _Searcher
 
-    s = _Searcher(T334, 10, face_counts(T334, 10), None)
+    s = _Searcher(T334, 10, None)
     quads = (((5, 7, 1, 8, 6), (4, 4)),)
     assert s._merged(quads, 2, 9, 4, (3,)) is False
     assert s._merged(quads, 2, 9, 3, ())
@@ -268,7 +293,7 @@ def test_search_tree_is_pinned():
     got = {}
     for t in ALL_FLAT_TYPES:
         for n in min_vertices_gate(t, 16):
-            s = _Searcher(t, n, face_counts(t, n), None)
+            s = _Searcher(t, n, None)
             s.run()
             got[(t.sizes, n)] = (s.nodes, len(s.results))
     assert got == SEARCH_TREE
@@ -287,7 +312,7 @@ def _recorded_search(t, n):
                 completed.append(PolyhedralMap(self.n, list(self.faces)))
             super()._emit_if_complete()
 
-    s = Recording(t, n, face_counts(t, n), None)
+    s = Recording(t, n, None)
     s.run()
     return completed, s.results
 
@@ -385,6 +410,21 @@ class TestClassifyAll:
         for r in feasible:
             assert r.total == r.orientable + r.non_orientable
             assert len(r.maps) == r.total
+
+    @pytest.mark.parametrize("sizes,degrees", [
+        ((3, 3, 3), "180"), ((3,) * 7, "420"), ((3, 4, 3, 4), "300"),
+        ((7, 7, 7), "2700/7")])
+    def test_a_type_that_is_not_flat_is_gated(self, sizes, degrees):
+        """The census covers Euler characteristic 0, which needs the
+        regular faces' angles at a vertex to sum to 360 degrees; any other
+        type gets one row with the exact sum and no search."""
+        t = FaceSeqType(sizes)
+        assert min_vertices_gate(t, 30) == []
+        rows = classify_all(30, [t])
+        assert [(r.type, r.n, r.total, r.maps) for r in rows] == [(t, 0, 0, [])]
+        assert rows[0].infeasible_reason == (
+            f"not flat: the face angles at a vertex sum to {degrees} "
+            f"degrees, not 360")
 
     def test_rows_sorted_by_type_then_n(self):
         rows = classify_all(12, [FaceSeqType((3, 12, 12)), T334])
