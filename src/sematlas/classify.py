@@ -11,6 +11,8 @@ edge are tried.
 
 ``canonical_form``'s union-find classes are automorphism orbits on the
 flags, and ``is_vertex_transitive`` reads the winning start flag's orbit.
+``homological_systole`` gives each edge a GF(2) cohomology label from a
+tree and cotree, and reads the systole off one breadth-first search per root.
 """
 
 from __future__ import annotations
@@ -274,76 +276,73 @@ def edge_graph_char_poly(m: PolyhedralMap) -> IntPolynomial:
 # -- homological systole ------------------------------------------------------
 
 
-def _gf2_reduce(vec: int, basis: list[int]) -> int:
-    for b in basis:
-        vec = min(vec, vec ^ b)
-    return vec
+class CohomologyInvariantError(RuntimeError):
+    """A tree and cotree left other than 2 - chi edges: a defect, not bad input."""
 
 
-def face_boundary_basis(m: PolyhedralMap) -> tuple[dict[tuple[int, int], int], list[int]]:
-    """Edge-index map and a GF(2) basis of the face-boundary space."""
-    edge_index = {e: i for i, e in enumerate(m.edges)}
-    basis: list[int] = []
-    for face in m.faces:
-        vec = 0
-        k = len(face)
-        for i in range(k):
-            vec ^= 1 << edge_index[edge_key(face[i], face[(i + 1) % k])]
-        # a kept vector has every earlier one's leading bit clear: no sort
-        vec = _gf2_reduce(vec, basis)
-        if vec:
-            basis.append(vec)
-    return edge_index, basis
+def _bfs(adj: Sequence[Sequence[tuple[int, int]]], root: int) -> tuple[list[int], list]:
+    """Breadth-first order from ``root`` over (neighbour, edge) lists, and
+    the (parent, edge) first reaching each node, (root, -1) at the root."""
+    reach: list = [None] * len(adj)
+    reach[root] = (root, -1)
+    order = [root]
+    for u in order:
+        for w, e in adj[u]:
+            if reach[w] is None:
+                reach[w] = (u, e)
+                order.append(w)
+    return order, reach
 
 
 def homological_systole(m: PolyhedralMap) -> int:
     """Length of the shortest 1-skeleton cycle not in the face-boundary
-    span over GF(2).
-
-    Candidates are the fundamental cycles of breadth-first trees rooted at
-    every vertex: tree path to u, the non-tree edge {u, v}, tree path back
-    from v, with shared tree edges cancelling.
-    """
+    span over GF(2), from tree-cotree cohomology labels (Eppstein, SODA
+    2003; Erickson and Whittlesey, SODA 2005): a cycle is nontrivial
+    exactly when its edge labels XOR to nonzero.  Per root, an edge uv
+    nontrivial against the breadth-first tree closes a walk of length
+    depth(u) + depth(v) + 1, and the least over all roots is exact by
+    Thomassen's 3-path condition (README, "The homological systole")."""
     chi = euler_characteristic(m)
     if chi != 0:
         raise NotFlat(f"map has Euler characteristic {chi}, expected 0")
-    edge_index, basis = face_boundary_basis(m)
-    adj = m.adjacency
+    face = m.flags.face
     n = m.n_vertices
-    best: Optional[int] = None
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for e, (u, w) in enumerate(m.edges):
+        adj[u].append((w, e))
+        adj[w].append((u, e))
+    off_tree = set(range(m.n_edges)) - {e for _, e in _bfs(adj, 0)[1]}
+    dual: list[list[tuple[int, int]]] = [[] for _ in m.faces]
+    for e in off_tree:
+        f, g = face[4 * e], face[4 * e + 1]
+        dual[f].append((g, e))
+        dual[g].append((f, e))
+    order, reach = _bfs(dual, 0)
+    leftover = off_tree - {reach[f][1] for f in order}
+    if len(leftover) != 2 - chi:
+        raise CohomologyInvariantError(
+            f"{len(leftover)} edges lie outside the tree and cotree; a map "
+            f"of Euler characteristic {chi} leaves {2 - chi}")
+    label = [0] * m.n_edges
+    rest = [0] * len(m.faces)  # per face: XOR of its labels fixed so far
+    for bit, e in enumerate(leftover):
+        label[e] = 1 << bit
+        rest[face[4 * e]] ^= label[e]
+        rest[face[4 * e + 1]] ^= label[e]
+    for f in reversed(order[1:]):  # leaf faces first
+        parent, e = reach[f]
+        label[e] = rest[f]
+        rest[parent] ^= rest[f]
+    best = 2 * n
     for root in range(n):
-        parent = [-1] * n
+        order, reach = _bfs(adj, root)
         depth = [0] * n
-        order = [root]
-        parent[root] = root
-        qi = 0
-        while qi < len(order):
-            u = order[qi]
-            qi += 1
-            for w in adj[u]:
-                if parent[w] == -1:
-                    parent[w] = u
-                    depth[w] = depth[u] + 1
-                    order.append(w)
-        for (u, v) in m.edges:
-            if parent[u] == v or parent[v] == u:
-                continue
-            vec = 1 << edge_index[(u, v)]
-            length = 1
-            x, y = u, v
-            while x != y:
-                if depth[x] >= depth[y]:
-                    vec ^= 1 << edge_index[edge_key(x, parent[x])]
-                    length += 1
-                    x = parent[x]
-                else:
-                    vec ^= 1 << edge_index[edge_key(y, parent[y])]
-                    length += 1
-                    y = parent[y]
-            if best is not None and length >= best:
-                continue
-            if _gf2_reduce(vec, basis) != 0:
-                best = length
-    if best is None:
-        raise RuntimeError("flat map must carry a homologically nontrivial cycle")
+        path = [0] * n
+        for w in order[1:]:
+            u, e = reach[w]
+            depth[w] = depth[u] + 1
+            path[w] = path[u] ^ label[e]
+        for e, (u, w) in enumerate(m.edges):
+            if path[u] ^ path[w] ^ label[e]:
+                best = min(best, depth[u] + depth[w] + 1)
     return best

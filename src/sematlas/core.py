@@ -460,7 +460,7 @@ def grid_coords(m: PolyhedralMap) -> Optional[dict[int, tuple[int, int]]]:
             raise ValueError(f"coords of vertex {key!r} are not a "
                              f"[row, column] pair of integers: {rc!r}")
         try:
-            out[int(key)] = (rc[0], rc[1])
+            out[_natural(key)] = (rc[0], rc[1])
         except ValueError:
             raise ValueError(f"coords key {key!r} is not a vertex") from None
     if len(raw) != m.n_vertices or sorted(out) != list(range(m.n_vertices)):

@@ -3,14 +3,88 @@
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from sematlas.core import PolyhedralMap, canonical_face, edge_key, flag_walk
+from sematlas.core import (PolyhedralMap, canonical_face, edge_key,
+                           euler_characteristic, flag_walk)
 from sematlas.classify import (
     CanonicalForm,
     IntPolynomial,
-    face_boundary_basis,
+    NotFlat,
     find_isomorphism,
-    _gf2_reduce,
 )
+
+
+def _gf2_reduce(vec: int, basis: list[int]) -> int:
+    for b in basis:
+        vec = min(vec, vec ^ b)
+    return vec
+
+
+def face_boundary_basis(m: PolyhedralMap) -> tuple[dict[tuple[int, int], int], list[int]]:
+    """Edge-index map and a GF(2) basis of the face-boundary space, one
+    E-bit integer per vector."""
+    edge_index = {e: i for i, e in enumerate(m.edges)}
+    basis: list[int] = []
+    for face in m.faces:
+        vec = 0
+        k = len(face)
+        for i in range(k):
+            vec ^= 1 << edge_index[edge_key(face[i], face[(i + 1) % k])]
+        # a kept vector has every earlier one's leading bit clear: no sort
+        vec = _gf2_reduce(vec, basis)
+        if vec:
+            basis.append(vec)
+    return edge_index, basis
+
+
+def reduction_systole(m: PolyhedralMap) -> int:
+    """``homological_systole`` by reducing cycle vectors: the fundamental
+    cycles of breadth-first trees rooted at every vertex (tree path to u,
+    the non-tree edge {u, v}, tree path back from v, shared tree edges
+    cancelling), each an E-bit integer reduced against the face-boundary
+    basis."""
+    chi = euler_characteristic(m)
+    if chi != 0:
+        raise NotFlat(f"map has Euler characteristic {chi}, expected 0")
+    edge_index, basis = face_boundary_basis(m)
+    adj = m.adjacency
+    n = m.n_vertices
+    best: Optional[int] = None
+    for root in range(n):
+        parent = [-1] * n
+        depth = [0] * n
+        order = [root]
+        parent[root] = root
+        qi = 0
+        while qi < len(order):
+            u = order[qi]
+            qi += 1
+            for w in adj[u]:
+                if parent[w] == -1:
+                    parent[w] = u
+                    depth[w] = depth[u] + 1
+                    order.append(w)
+        for (u, v) in m.edges:
+            if parent[u] == v or parent[v] == u:
+                continue
+            vec = 1 << edge_index[(u, v)]
+            length = 1
+            x, y = u, v
+            while x != y:
+                if depth[x] >= depth[y]:
+                    vec ^= 1 << edge_index[edge_key(x, parent[x])]
+                    length += 1
+                    x = parent[x]
+                else:
+                    vec ^= 1 << edge_index[edge_key(y, parent[y])]
+                    length += 1
+                    y = parent[y]
+            if best is not None and length >= best:
+                continue
+            if _gf2_reduce(vec, basis) != 0:
+                best = length
+    if best is None:
+        raise RuntimeError("flat map must carry a homologically nontrivial cycle")
+    return best
 
 
 def brute_force_systole(m: PolyhedralMap) -> int:

@@ -6,6 +6,7 @@ import pytest
 
 from sematlas import classify
 from sematlas.classify import (
+    CohomologyInvariantError,
     NotFlat,
     adjacency_matrix,
     canonical_form,
@@ -26,7 +27,37 @@ from oracles import (
     faddeev_leverrier_charpoly,
     gauss_determinant,
     pinned_is_vertex_transitive,
+    reduction_systole,
 )
+
+
+@pytest.fixture(scope="module")
+def oracle_maps(atlas):
+    """The maps the oracle tests share: the atlas, the 3^6, 4^4 and 6^3
+    torus and Klein-bottle series for n = 3..10, their truncations, and
+    the census to 16 vertices."""
+    series = []
+    for n in range(3, 11):
+        for family in ("3^6", "4^4", "6^3"):
+            for surface in ("torus", "klein_bottle"):
+                try:
+                    series.append(equivelar_series(SeriesParams(family, surface, n)))
+                except ParamOutOfRange:
+                    pass
+    maps = [atlas[k] for k in sorted(atlas)] + series
+    maps += [truncate(m) for m in series]
+    maps += [m for row in classify_all(16) for m in row.maps]
+    return maps
+
+
+def with_relabelings(maps, seed):
+    """Each map, then a relabeling of it drawn from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    for m in maps:
+        perm = list(range(m.n_vertices))
+        rng.shuffle(perm)
+        yield m
+        yield m.relabel(perm)
 
 
 class TestIsomorphism:
@@ -79,29 +110,14 @@ class TestIsomorphism:
         m = validate(faces, 5)
         assert not is_vertex_transitive(m)
 
-    def test_matches_the_pinned_search(self, atlas):
+    def test_matches_the_pinned_search(self, oracle_maps):
         # one orbit of the canonical-form search decides what a pinned
         # find_isomorphism per vertex decided before
-        series = []
-        for n in range(3, 11):
-            for family in ("3^6", "4^4", "6^3"):
-                for surface in ("torus", "klein_bottle"):
-                    try:
-                        series.append(equivelar_series(SeriesParams(family, surface, n)))
-                    except ParamOutOfRange:
-                        pass
-        maps = [atlas[k] for k in sorted(atlas)] + series
-        maps += [truncate(m) for m in series]
-        maps += [m for row in classify_all(16) for m in row.maps]
-        rng = random.Random(14)
         verdicts = []
-        for m in maps:
-            perm = list(range(m.n_vertices))
-            rng.shuffle(perm)
-            for each in (m, m.relabel(perm)):
-                want = pinned_is_vertex_transitive(each)
-                assert is_vertex_transitive(each) == want
-                verdicts.append(want)
+        for each in with_relabelings(oracle_maps, 14):
+            want = pinned_is_vertex_transitive(each)
+            assert is_vertex_transitive(each) == want
+            verdicts.append(want)
         # both verdicts occur, so neither constant answer passes
         assert 0 < sum(verdicts) < len(verdicts)
 
@@ -121,23 +137,10 @@ class TestCanonicalForm:
         relabeled = t_1_10.relabel(cf.relabeling)
         assert canonical_form(relabeled).form == cf.form
 
-    def test_matches_the_exhaustive_form(self, atlas):
+    def test_matches_the_exhaustive_form(self, oracle_maps):
         # the orbit cut must keep the every-start-flag form and relabeling
-        maps = [atlas[k] for k in sorted(atlas)]
-        for n in range(3, 11):
-            for family in ("3^6", "4^4", "6^3"):
-                for surface in ("torus", "klein_bottle"):
-                    try:
-                        maps.append(equivelar_series(SeriesParams(family, surface, n)))
-                    except ParamOutOfRange:
-                        pass
-        maps += [m for row in classify_all(14) for m in row.maps]
-        rng = random.Random(12)
-        for m in maps:
-            perm = list(range(m.n_vertices))
-            rng.shuffle(perm)
-            for each in (m, m.relabel(perm)):
-                assert canonical_form(each) == exhaustive_canonical_form(each)
+        for each in with_relabelings(oracle_maps, 12):
+            assert canonical_form(each) == exhaustive_canonical_form(each)
 
     def test_walks_one_start_flag_per_orbit(self, monkeypatch):
         # the 60-vertex 4^4 torus grid has 480 flags in few orbits
@@ -249,11 +252,17 @@ class TestSystole:
         random.Random(9).shuffle(perm)
         assert homological_systole(k_1_10) == homological_systole(k_1_10.relabel(perm))
 
-    def test_missing_cycle_is_an_error_not_an_assert(self, t_1_10, monkeypatch):
-        # a raised error survives ``python -O``, which strips asserts
-        monkeypatch.setattr(classify, "_gf2_reduce", lambda vec, basis: 0)
-        with pytest.raises(RuntimeError):
-            homological_systole(t_1_10)
+    def test_matches_the_reduction(self, oracle_maps):
+        # the cohomology labels give the face-boundary reduction's systole
+        for each in with_relabelings(oracle_maps, 16):
+            assert homological_systole(each) == reduction_systole(each)
+
+    def test_missing_cycle_is_an_error_not_an_assert(self, tetrahedron, monkeypatch):
+        # a raised error survives ``python -O``, which strips asserts; the
+        # tetrahedron passed off as flat leaves 0 edges over, not 2
+        monkeypatch.setattr(classify, "euler_characteristic", lambda m: 0)
+        with pytest.raises(CohomologyInvariantError, match="0 edges.*leaves 2"):
+            homological_systole(tetrahedron)
 
 
 def test_no_bare_assert_in_the_library():

@@ -382,6 +382,9 @@ GRID_COORDS = equivelar_series(SeriesParams("4^4", "torus", 7)).tags["coords"]
     {**GRID_COORDS, "0": [True, 1]},
     {k: rc for k, rc in GRID_COORDS.items() if k != "0"},
     {**GRID_COORDS, "x": [0, 0]},
+    # keys that ``int`` reads as vertex 0 and vertex 1
+    {("+0" if k == "0" else k): rc for k, rc in GRID_COORDS.items()},
+    {("\u0661" if k == "1" else k): rc for k, rc in GRID_COORDS.items()},
 ])
 def test_malformed_coords_are_svg_unsupported(tmp_path, capsys, coords):
     m, path = retagged_grid(tmp_path, coords=coords)
