@@ -160,6 +160,63 @@ def _next_sizes(sizes: tuple[int, ...], t: tuple[int, ...]) -> frozenset[int]:
                      for off, direction in _embeddings(sizes, t))
 
 
+@lru_cache(maxsize=4096)
+def _merged(frags: Optional[tuple], a: int, b: int, size: int,
+            far: tuple[int, ...], t: tuple[int, ...]):
+    """The fan ``frags`` with the corner a-v-b of a ``size``-gon added,
+    ``far`` its other vertices in order from a to b, in a map of the
+    normalised type ``t``: the new fragment tuple, None when the corner
+    closes the fan, or False when the corner cannot be added.
+
+    A pure function of immutable fans and the type, so one cache serves
+    every search; the forward check re-tests witnesses on fans that have
+    not changed, which repeats most calls.  The cache is bounded because
+    the search's peak memory is a measured cost."""
+    if frags is None:
+        return False
+    ia = ib = -1
+    for i, (path, _sizes) in enumerate(frags):
+        # a far vertex on the link would share a face with v but no
+        # edge; a neighbour inside a path already has its edge to v
+        # in two faces
+        for u in far:
+            if u in path:
+                return False
+        if a in path:
+            if a != path[0] and a != path[-1]:
+                return False
+            ia = i
+        if b in path:
+            if b != path[0] and b != path[-1]:
+                return False
+            ib = i
+    if ia != -1 and ia == ib:
+        # the corner joins the two ends of one fragment: the fan closes,
+        # and its cycle of sizes must be the type
+        return None if canonical_face(frags[ia][1] + (size,)) == t else False
+    # orient the fragment ending at a to end there, the one at b to
+    # start there; a missing one is the bare neighbour
+    path_a, sizes_a = frags[ia] if ia != -1 else ((a,), ())
+    if path_a[0] == a:
+        path_a, sizes_a = path_a[::-1], sizes_a[::-1]
+    path_b, sizes_b = frags[ib] if ib != -1 else ((b,), ())
+    if path_b[-1] == b:
+        path_b, sizes_b = path_b[::-1], sizes_b[::-1]
+    sizes = sizes_a + (size,) + sizes_b
+    # the new fragment must fit the cyclic type (the others passed
+    # this check when they were made), the fragments together must
+    # leave a face between each two, and no size may outnumber its
+    # multiplicity in the type
+    if not _embeddings(sizes, t):
+        return False
+    out = tuple(f for i, f in enumerate(frags) if i not in (ia, ib))
+    out += ((path_a + far + path_b, sizes),)
+    flat = [s for _path, run in out for s in run]
+    if len(flat) + len(out) > len(t) or flat.count(size) > t.count(size):
+        return False
+    return out
+
+
 class _Searcher:
     """Depth-first search state with one acceptance test per face.
 
@@ -169,7 +226,9 @@ class _Searcher:
     two ends are the fragment's open neighbours.  A fan is ``()`` before
     any face meets the vertex and None once it closes.  ``_new_fans``
     decides, without changing anything, whether a face may be committed:
-    every corner's fan merge (``_merged``) accepts it.  No vertex may
+    every corner's fan merge accepts it.  The merge is the module-level
+    ``_merged``, a cached pure function of the fan, the corner and the
+    type, so its cache keeps no reference to a searcher.  No vertex may
     appear twice on a link, so the merge alone decides how faces
     intersect and how many faces hold an edge.  ``_faces`` yields only
     such faces, so ``_commit`` cannot fail.  ``_commit`` and ``_undo``
@@ -206,65 +265,16 @@ class _Searcher:
 
     # -- fans and faces --
 
-    def _merged(self, frags: Optional[tuple], a: int, b: int, size: int,
-                far: tuple[int, ...]):
-        """The fan ``frags`` with the corner a-v-b of a ``size``-gon added,
-        ``far`` its other vertices in order from a to b: the new fragment
-        tuple, None when the corner closes the fan, or False when the
-        corner cannot be added."""
-        if frags is None:
-            return False
-        ia = ib = -1
-        for i, (path, _sizes) in enumerate(frags):
-            # a far vertex on the link would share a face with v but no
-            # edge; a neighbour inside a path already has its edge to v
-            # in two faces
-            for u in far:
-                if u in path:
-                    return False
-            if a in path:
-                if a != path[0] and a != path[-1]:
-                    return False
-                ia = i
-            if b in path:
-                if b != path[0] and b != path[-1]:
-                    return False
-                ib = i
-        if ia != -1 and ia == ib:
-            # the corner joins the two ends of one fragment: the fan closes,
-            # and its cycle of sizes must be the type (self.t is normalised)
-            return None if canonical_face(frags[ia][1] + (size,)) == self.t else False
-        # orient the fragment ending at a to end there, the one at b to
-        # start there; a missing one is the bare neighbour
-        path_a, sizes_a = frags[ia] if ia != -1 else ((a,), ())
-        if path_a[0] == a:
-            path_a, sizes_a = path_a[::-1], sizes_a[::-1]
-        path_b, sizes_b = frags[ib] if ib != -1 else ((b,), ())
-        if path_b[-1] == b:
-            path_b, sizes_b = path_b[::-1], sizes_b[::-1]
-        sizes = sizes_a + (size,) + sizes_b
-        # the new fragment must fit the cyclic type (the others passed
-        # this check when they were made), the fragments together must
-        # leave a face between each two, and no size may outnumber its
-        # multiplicity in the type
-        if not _embeddings(sizes, self.t):
-            return False
-        out = tuple(f for i, f in enumerate(frags) if i not in (ia, ib))
-        out += ((path_a + far + path_b, sizes),)
-        flat = [s for _path, run in out for s in run]
-        if len(flat) + len(out) > self.deg or flat.count(size) > self.t.count(size):
-            return False
-        return out
-
     def _new_fans(self, face: tuple[int, ...]) -> Optional[list]:
         """The fans of ``face``'s vertices once it is committed, or None
-        when it may not be.  The one acceptance test; it changes nothing."""
+        when it may not be: ``_merged`` on each corner, with the type
+        ``self.t``.  The one acceptance test; it changes nothing."""
         p = len(face)
         new = []
         for i, v in enumerate(face):
             far = tuple(face[(i - k) % p] for k in range(2, p - 1))
-            frags = self._merged(self.fragments[v], face[i - 1],
-                                 face[(i + 1) % p], p, far)
+            frags = _merged(self.fragments[v], face[i - 1],
+                            face[(i + 1) % p], p, far, self.t)
             if frags is False:
                 return None
             new.append(frags)
@@ -390,11 +400,11 @@ class _Searcher:
         # first; the two closing corners remain, and the one at ``end``
         # also checks its far vertices
         last, end = prefix[-1], prefix[0]
-        if last < self.used and self._merged(
-                self.fragments[last], prefix[-2], end, size, ()) is False:
+        if last < self.used and _merged(
+                self.fragments[last], prefix[-2], end, size, (), self.t) is False:
             return False
-        return self._merged(self.fragments[end], last, prefix[1], size,
-                            tuple(prefix[-2:1:-1])) is not False
+        return _merged(self.fragments[end], last, prefix[1], size,
+                       tuple(prefix[-2:1:-1]), self.t) is not False
 
     def _faces(self, prefix: list[int], size: int, used_now: int):
         """Yield the faces that may be committed among the completions of
@@ -420,14 +430,14 @@ class _Searcher:
             frags, a = self.fragments[prev], prefix[-2]
             ends = {u for path, _sizes in frags for u in (path[0], path[-1])}
             ends.discard(a)
-            if self._merged(frags, a, self.n, size, ()) is False:
+            if _merged(frags, a, self.n, size, (), self.t) is False:
                 cands = sorted(u for u in ends if u < cap)
         for cand in cands:
             if cand in prefix:
                 continue
             if not self._admissible(prefix, cand):
                 continue
-            if cand in ends and self._merged(frags, a, cand, size, ()) is False:
+            if cand in ends and _merged(frags, a, cand, size, (), self.t) is False:
                 continue
             prefix.append(cand)
             yield from self._faces(prefix, size, max(used_now, cand + 1))

@@ -253,16 +253,58 @@ def test_corner_check_counts_sizes():
     corner at a neighbour inside a path, whose edge to the vertex already
     lies in two faces, and a corner whose far vertex is already on the
     fan."""
-    from sematlas.enumeration import _Searcher
+    from sematlas.enumeration import _merged
 
-    s = _Searcher(T334, 10, None)
+    t = T334.sizes
     quads = (((5, 7, 1, 8, 6), (4, 4)),)
-    assert s._merged(quads, 2, 9, 4, (3,)) is False
-    assert s._merged(quads, 2, 9, 3, ())
-    assert s._merged(quads, 1, 9, 3, ()) is False
+    assert _merged(quads, 2, 9, 4, (3,), t) is False
+    assert _merged(quads, 2, 9, 3, (), t)
+    assert _merged(quads, 1, 9, 3, (), t) is False
     quad = (((5, 7, 1), (4,)),)
-    assert s._merged(quad, 2, 9, 4, (3,))
-    assert s._merged(quad, 2, 9, 4, (7,)) is False
+    assert _merged(quad, 2, 9, 4, (3,), t)
+    assert _merged(quad, 2, 9, 4, (7,), t) is False
+
+
+def test_corner_check_cache_is_bounded():
+    """The corner check's cache is bounded, so the search's peak memory
+    does not grow with the number of distinct fans it meets."""
+    from sematlas.enumeration import _merged
+
+    maxsize = _merged.cache_info().maxsize
+    assert isinstance(maxsize, int) and maxsize > 0
+
+
+def test_corner_check_cache_keys_on_the_type():
+    """A corner check cached for one type must not answer for another.
+    A second quad beside a quad fits (3,3,3,4,4) but not (3,3,4,3,4);
+    both searches meet this corner, (3,3,3,4,4) at n = 10 and (3,3,4,3,4)
+    at n = 8 and 10.  Searching one cell after the other without clearing
+    the cache gives each the nodes and maps of a cold-cache search."""
+    from sematlas.enumeration import _merged, _Searcher
+
+    quad = (((6, 0, 1), (4,)),)
+    verdicts = [((3, 3, 3, 4, 4), (((2, 6, 0, 1), (4, 4)),)),
+                ((3, 3, 4, 3, 4), False)]
+    for order in (verdicts, verdicts[::-1]):
+        _merged.cache_clear()
+        assert [_merged(quad, 2, 6, 4, (), t) for t, _fan in order] == [
+            fan for _t, fan in order]
+
+    cells = [(FaceSeqType((3, 3, 3, 4, 4)), 12), (FaceSeqType((3, 3, 4, 3, 4)), 12)]
+
+    def search(t, n):
+        s = _Searcher(t, n, None)
+        s.run()
+        return s.nodes, [serialize(m) for m in s.results]
+
+    cold = []
+    for t, n in cells:
+        _merged.cache_clear()
+        cold.append(search(t, n))
+    for order in (cells, cells[::-1]):
+        _merged.cache_clear()
+        warm = {t: search(t, n) for t, n in order}
+        assert [warm[t] for t, _n in cells] == cold
 
 
 #: (type, n) -> (search nodes, classes) for every flat-type cell with
