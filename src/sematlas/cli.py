@@ -260,7 +260,7 @@ def cmd_construct(args) -> int:
 
 
 def _emit(m, args) -> int:
-    if getattr(args, "verify", False):
+    if args.verify:
         t = is_semi_equivelar(m)
         sid = surface_id(m)
         print(f"verify: type={t} surface={sid.name} "

@@ -237,22 +237,19 @@ class _Searcher:
     old fans of the face's vertices and the old ``used``, from which
     ``_undo`` reverses it.
 
-    ``fast_prunes`` guards the purely-speed prunes: the corner checks
-    during candidate generation, the test of each candidate vertex's
-    link paths against the face built so far, and the forward check of
-    every open edge (``_dead_end``).  Without them ``_faces`` runs
-    ``_new_fans`` on each complete candidate.  The search is complete
-    with or without them, which the test suite cross-checks on small
-    cells.
+    The search fails first: the corner checks during candidate
+    generation, the test of each candidate vertex's link paths against
+    the face built so far, and the forward check of every open edge
+    (``_dead_end``) only cut sooner what ``_new_fans`` would refuse.
+    The test suite's ``ReferenceSearcher`` searches without them and
+    finds the same maps on small cells.
     """
 
-    def __init__(self, t: FaceSeqType, n: int, budget: Optional[int],
-                 fast_prunes: bool = True):
+    def __init__(self, t: FaceSeqType, n: int, budget: Optional[int]):
         self.t = t.sizes
         self.deg = len(t.sizes)
         self.n = n
         self.budget = budget
-        self.fast_prunes = fast_prunes
         self.nodes = 0
         self.faces: list[tuple[int, ...]] = []
         self.fragments: list[Optional[tuple]] = [()] * n
@@ -376,8 +373,6 @@ class _Searcher:
         frags = self.fragments[cand]
         if frags is None:
             return False
-        if not self.fast_prunes:
-            return True
         # cand's link may hold only the prefix's last vertex, along an
         # edge in one face, or its first, where the face may close: any
         # other prefix vertex there would share a second face with cand
@@ -393,8 +388,6 @@ class _Searcher:
     def _closes(self, prefix: list[int], size: int) -> bool:
         """Whether the full ``prefix`` may close into a face that
         ``_new_fans`` accepts."""
-        if not self.fast_prunes:
-            return self._new_fans(tuple(prefix)) is not None
         # the other corners passed while the prefix grew, and
         # ``_admissible`` kept each vertex off the links of all but the
         # first; the two closing corners remain, and the one at ``end``
@@ -419,7 +412,7 @@ class _Searcher:
         cap = min(used_now + 1, self.n)
         cands = range(cap)
         prev, ends = prefix[-1], ()
-        if self.fast_prunes and prev < self.used:
+        if prev < self.used:
             # fail first: the next vertex fixes the corner a-prev-cand,
             # which is then ``_new_fans``'s verdict there (each corner of
             # a face sits at its own vertex), save for its far vertices,
@@ -477,7 +470,7 @@ class _Searcher:
             self._emit_if_complete()
             return
         v, end = slot
-        if self.fast_prunes and self._dead_end(slot):
+        if self._dead_end(slot):
             return
         for size in self._allowed(v, end):
             # drawn up front: the recursion below commits and undoes faces
@@ -517,8 +510,13 @@ def enumerate_sems(t: FaceSeqType, n: int,
     number of search nodes; exceeding it raises BudgetExceeded, and a
     malformed variable BadBudget.
     """
-    if budget is None:
-        budget = _env_budget()
+    return _search_cell(t, n, _env_budget() if budget is None else budget)
+
+
+def _search_cell(t: FaceSeqType, n: int,
+                 budget: Optional[int]) -> list[PolyhedralMap]:
+    """``enumerate_sems`` with ``budget`` as given, None for no cap: the
+    environment is not read.  Module-level, so worker processes can run it."""
     if face_counts(t, n) is None:
         return []
     searcher = _Searcher(t, n, budget)
@@ -562,9 +560,9 @@ def classify_all(n_max: int, types: Optional[Sequence[FaceSeqType]] = None,
         import multiprocessing  # here, not at the top: the import costs start-up time
 
         with multiprocessing.Pool(jobs) as pool:
-            results = pool.starmap(enumerate_sems, [(t, n, budget) for t, n in cells])
+            results = pool.starmap(_search_cell, [(t, n, budget) for t, n in cells])
     else:
-        results = [enumerate_sems(t, n, budget) for t, n in cells]
+        results = [_search_cell(t, n, budget) for t, n in cells]
     for (t, n), maps in zip(cells, results):
         for m in maps:
             chi = euler_characteristic(m)

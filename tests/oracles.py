@@ -3,14 +3,15 @@
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from sematlas.core import (PolyhedralMap, canonical_face, edge_key,
-                           euler_characteristic, flag_walk)
+from sematlas.core import (PolyhedralMap, edge_key, euler_characteristic,
+                           flag_walk)
 from sematlas.classify import (
     CanonicalForm,
     IntPolynomial,
     NotFlat,
     find_isomorphism,
 )
+from sematlas.enumeration import _Searcher
 
 
 def _gf2_reduce(vec: int, basis: list[int]) -> int:
@@ -181,10 +182,42 @@ def faddeev_leverrier_charpoly(matrix: Sequence[Sequence[int]]) -> IntPolynomial
     return IntPolynomial(tuple(reversed(coeffs)))
 
 
+class ReferenceSearcher(_Searcher):
+    """The search without its speed prunes: no forward check, and
+    ``_faces`` tries every lexicographic completion of the face cycle,
+    skipping only labels already in it and closed vertices, and keeps a
+    complete one when ``_new_fans`` accepts it."""
+
+    def _dead_end(self, skip):
+        return False
+
+    def _faces(self, prefix, size, used_now):
+        if len(prefix) == size:
+            if self._new_fans(tuple(prefix)) is not None:
+                yield tuple(prefix)
+            return
+        for cand in range(min(used_now + 1, self.n)):
+            if cand in prefix or self.fragments[cand] is None:
+                continue
+            prefix.append(cand)
+            yield from self._faces(prefix, size, max(used_now, cand + 1))
+            prefix.pop()
+
+
+def _least_rotation(face: tuple[int, ...]) -> tuple[int, ...]:
+    """A face of distinct labels from its least label, in the direction
+    whose second label is the smaller."""
+    i = face.index(min(face))
+    forward = face[i:] + face[:i]
+    backward = forward[:1] + forward[:0:-1]
+    return min(forward, backward)
+
+
 def exhaustive_canonical_form(m: PolyhedralMap) -> CanonicalForm:
     """``canonical_form`` without the automorphism cut: the flag traversal
     from every start flag, vertices labelled in first-visit order, and the
-    first lexicographically least serialization kept."""
+    first lexicographically least serialization kept.  Faces are put in
+    normal form here, not by the library's ``canonical_face``."""
 
     def traversal_labels(start):
         vertex = m.flags.vertex
@@ -200,7 +233,7 @@ def exhaustive_canonical_form(m: PolyhedralMap) -> CanonicalForm:
     best_perm: Optional[tuple[int, ...]] = None
     for start in range(len(m.flags.s1)):
         perm = traversal_labels(start)
-        faces = sorted(canonical_face(tuple(perm[v] for v in f)) for f in m.faces)
+        faces = sorted(_least_rotation(tuple(perm[v] for v in f)) for f in m.faces)
         blob = b"\n".join(
             b" ".join(str(v).encode() for v in face) for face in faces)
         blob = str(m.n_vertices).encode() + b"\n" + blob

@@ -26,7 +26,7 @@ from sematlas.enumeration import (
 )
 from sematlas.semmap import serialize
 
-from oracles import meets_cleanly
+from oracles import ReferenceSearcher, meets_cleanly
 
 T334 = FaceSeqType((3, 3, 3, 4, 4))
 
@@ -169,18 +169,18 @@ REFERENCE_NODES = {
 class TestPruneSoundness:
     @pytest.mark.parametrize("sizes,n", PRUNE_CELLS)
     def test_speed_prunes_change_nothing(self, sizes, n):
-        """The lookahead prunes must be pure accelerators: running without
-        them yields the identical maps in the identical order, from a
-        reference tree whose size is pinned."""
+        """The lookahead prunes must be pure accelerators: the reference
+        search, which runs without them, yields the identical maps in the
+        identical order, from a tree whose size is pinned."""
         from sematlas.enumeration import _Searcher
 
         t = FaceSeqType(sizes)
-        results = {}
-        for fast in (True, False):
-            s = _Searcher(t, n, None, fast_prunes=fast)
+        results = []
+        for cls in (_Searcher, ReferenceSearcher):
+            s = cls(t, n, None)
             s.run()
-            results[fast] = [serialize(m) for m in s.results]
-        assert results[True] == results[False]
+            results.append([serialize(m) for m in s.results])
+        assert results[0] == results[1]
         assert s.nodes == REFERENCE_NODES[(sizes, n)]
 
     @pytest.mark.parametrize("sizes,n", PRUNE_CELLS)
@@ -206,11 +206,9 @@ class TestPruneSoundness:
         """The fan merges alone refuse every face that meets a committed
         face in more than a vertex or a common edge, or puts an edge in a
         third face; the reference search offers them many such faces."""
-        from sematlas.enumeration import _Searcher
-
         unclean = []
 
-        class Checked(_Searcher):
+        class Checked(ReferenceSearcher):
             def _new_fans(self, face):
                 fans = super()._new_fans(face)
                 if not meets_cleanly(self.faces, face):
@@ -218,7 +216,7 @@ class TestPruneSoundness:
                 return fans
 
         t = FaceSeqType(sizes)
-        Checked(t, n, None, fast_prunes=False).run()
+        Checked(t, n, None).run()
         assert unclean and all(fans is None for fans in unclean)
 
     @pytest.mark.parametrize("sizes,n", PRUNE_CELLS)
@@ -483,3 +481,24 @@ class TestClassifyAll:
                                         FaceSeqType((4, 4, 3, 3, 3)), T334,
                                         FaceSeqType((3, 12, 12))]))
         assert twice == once
+
+    def test_the_budget_variable_is_read_once(self, monkeypatch):
+        """SEM_ATLAS_BUDGET is read once per census, before any cell is
+        searched, also when it is unset; ``enumerate_sems`` reads it only
+        when it is given no budget."""
+        reads = []
+        read = enumeration._env_budget
+
+        def counted():
+            reads.append(1)
+            return read()
+
+        monkeypatch.delenv(enumeration.BUDGET_ENV, raising=False)
+        monkeypatch.setattr(enumeration, "_env_budget", counted)
+        rows = classify_all(12, [T334])
+        assert [r.n for r in rows] == [8, 10, 12]
+        assert len(reads) == 1
+        enumerate_sems(T334, 10, budget=100)
+        assert len(reads) == 1
+        enumerate_sems(T334, 10)
+        assert len(reads) == 2
