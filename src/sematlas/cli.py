@@ -36,6 +36,7 @@ from .enumeration import (
     ALL_FLAT_TYPES,
     BadBudget,
     BudgetExceeded,
+    SearchTooDeep,
     classify_all,
     enumerate_sems,
 )
@@ -448,6 +449,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InvalidMapError, semmap.SemmapFormatError, NotFlat, BudgetExceeded,
+            SearchTooDeep,
             cons.ParamOutOfRange, cons.NotGridMap, cons.ParityError,
             cons.NoConsistentDiagonalization, cons.AlreadyOrientable,
             cons.NotTruncation, SvgUnsupported) as exc:

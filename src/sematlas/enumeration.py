@@ -13,7 +13,9 @@ cutting a node when any open edge admits no face at all.  A completed
 map is kept only when ``find_isomorphism`` finds no isomorphism to a map
 already kept, so the output lists every map of the requested type and
 vertex count exactly once up to isomorphism, each class by the first map
-the search completes in it.
+the search completes in it.  The kept maps are bucketed by the
+coefficients of ``edge_graph_char_poly``, which isomorphic maps share, so
+``find_isomorphism`` runs only against the maps of the new map's bucket.
 
 ``face_counts`` is the one per-cell gate: it gives the faces of each
 size that the type and the vertex count force, the search's budgets, or
@@ -38,7 +40,7 @@ from .core import (
     is_orientable,
     is_semi_equivelar,
 )
-from .classify import find_isomorphism
+from .classify import edge_graph_char_poly, find_isomorphism
 
 BUDGET_ENV = "SEM_ATLAS_BUDGET"
 
@@ -57,6 +59,11 @@ ALL_FLAT_TYPES = (
 
 class BudgetExceeded(RuntimeError):
     """Search node budget ran out before the cell was exhausted."""
+
+
+class SearchTooDeep(RuntimeError):
+    """The search recursed past the interpreter's limit: it recurses once
+    per committed face, so a cell of about a thousand faces is out of reach."""
 
 
 class BadBudget(ValueError):
@@ -235,7 +242,9 @@ class _Searcher:
     alone move the search state: the faces, the fans, the face budgets
     and ``used``, the count of labels taken.  ``_commit`` returns the
     old fans of the face's vertices and the old ``used``, from which
-    ``_undo`` reverses it.
+    ``_undo`` reverses it.  The fan list reaches ``max(t)`` labels past
+    ``used``, every label a face can take, not ``n``: a cell's size
+    costs no memory before the search reaches it.
 
     The search fails first: the corner checks during candidate
     generation, the test of each candidate vertex's link paths against
@@ -252,10 +261,13 @@ class _Searcher:
         self.budget = budget
         self.nodes = 0
         self.faces: list[tuple[int, ...]] = []
-        self.fragments: list[Optional[tuple]] = [()] * n
+        #: the fans of labels below ``used + max(t)``; the rest are ``()``
+        self.fragments: list[Optional[tuple]] = [()] * max(self.t)
         self.used = 0
         self.budgets = face_counts(t, n)
         self.results: list[PolyhedralMap] = []
+        #: ``edge_graph_char_poly`` coefficients -> the kept maps with them
+        self.buckets: dict[tuple[int, ...], list[PolyhedralMap]] = {}
         #: open edge (v, end) -> the last face found to fill it, fresh
         #: labels stored as offsets ~k from ``used``
         self.witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -280,11 +292,14 @@ class _Searcher:
     def _commit(self, face: tuple[int, ...], fans: list) -> tuple:
         """Commit ``face`` with the fans ``_new_fans`` gave it, taking one
         face of its size from the budget; fresh labels in it advance
-        ``used``.  Return the old fans of its vertices and the old ``used``."""
-        old = (tuple(self.fragments[v] for v in face), self.used)
+        ``used``, and the fan list by as many ``()``.  Return the old fans
+        of its vertices and the old ``used``."""
+        used = self.used
+        old = (tuple(self.fragments[v] for v in face), used)
         self.faces.append(face)
         self.budgets[len(face)] -= 1
-        self.used = max(self.used, 1 + max(face))
+        self.used = max(used, 1 + max(face))
+        self.fragments += [()] * (self.used - used)
         for v, frags in zip(face, fans):
             self.fragments[v] = frags
         return old
@@ -292,11 +307,14 @@ class _Searcher:
     def _undo(self, face: tuple[int, ...], old: tuple) -> None:
         """Reverse the commit of ``face``, the last face committed, given
         what ``_commit`` returned."""
-        fans, self.used = old
+        fans, used = old
         self.faces.pop()
         self.budgets[len(face)] += 1
         for v, frags in zip(face, fans):
             self.fragments[v] = frags
+        # the fans ``_commit`` appended are all ``()`` again
+        del self.fragments[len(self.fragments) - (self.used - used):]
+        self.used = used
 
     # -- slot selection and candidate generation --
 
@@ -350,12 +368,16 @@ class _Searcher:
         labels (offsets from ``used``) distinct and below ``n`` and its
         size with budget left.  Fresh labels are interchangeable, so that
         is the verdict of searching the edge anew, which happens only
-        when the witness has died."""
+        when the witness has died, or holds a label that a backtrack freed
+        and the fan list no longer reaches (87 of 54,858 replays in the
+        census cells and (3,3,4,3,4) at n = 22)."""
         used = self.used
         witness = self.witnesses.get((v, end))
         if witness is not None:
             face = tuple(u if u >= 0 else used + ~u for u in witness)
-            if (max(face) < self.n and len(set(face)) == len(face)
+            top = max(face)
+            if (top < self.n and top < len(self.fragments)
+                    and len(set(face)) == len(face)
                     and self.budgets[len(face)] > 0
                     and self._new_fans(face) is not None):
                 return True
@@ -463,7 +485,8 @@ class _Searcher:
         if self.budget is not None and self.nodes > self.budget:
             where = f"least open vertex {slot[0]}" if slot else "no open vertex"
             raise BudgetExceeded(
-                f"exceeded {self.budget} search nodes; reached depth "
+                f"exceeded {self.budget} search nodes in cell "
+                f"{FaceSeqType(self.t)}, n = {self.n}; reached depth "
                 f"{len(self.faces)} (faces committed) with {where} "
                 f"(set {BUDGET_ENV})")
         if slot is None:
@@ -480,6 +503,13 @@ class _Searcher:
                 self._undo(face, old)
 
     def _emit_if_complete(self) -> None:
+        """Keep the completed map unless it is isomorphic to a kept one.
+
+        Isomorphic maps have equal ``edge_graph_char_poly`` coefficients,
+        the map's bucket key, so ``find_isomorphism``, the one test of
+        sameness, runs only against the kept maps of the same bucket; the
+        key only skips pairs it proves distinct.  The first map of each
+        class still wins, and ``results`` keeps the order of completion."""
         if self.used != self.n:
             return
         if any(vv for vv in self.budgets.values()):
@@ -489,7 +519,9 @@ class _Searcher:
         if got != FaceSeqType(self.t):
             raise SearchInvariantError(
                 f"search emitted a map of type {got}, wanted {FaceSeqType(self.t)}")
-        if all(find_isomorphism(m, kept) is None for kept in self.results):
+        bucket = self.buckets.setdefault(edge_graph_char_poly(m).coefficients, [])
+        if all(find_isomorphism(m, kept) is None for kept in bucket):
+            bucket.append(m)
             self.results.append(m)
 
 
@@ -520,7 +552,13 @@ def _search_cell(t: FaceSeqType, n: int,
     if face_counts(t, n) is None:
         return []
     searcher = _Searcher(t, n, budget)
-    searcher.run()
+    try:
+        searcher.run()
+    except RecursionError:
+        raise SearchTooDeep(
+            f"cell {t}, n = {n}: the search reached depth "
+            f"{len(searcher.faces)} (faces committed), past the "
+            f"interpreter's recursion limit") from None
     return searcher.results
 
 
@@ -543,9 +581,10 @@ def classify_all(n_max: int, types: Optional[Sequence[FaceSeqType]] = None,
 
     A type the gate rejects for every n gets one row with the reason.  A
     type named twice is searched once.  Rows come sorted by (type, n).
-    ``jobs > 1`` searches the cells in that many processes; the rows are
-    the same either way.  SEM_ATLAS_BUDGET is read once, before any cell
-    is searched.
+    ``jobs > 1`` searches the cells in that many processes; the rows, and
+    the error a failing cell raises (the first in census order), are the
+    same either way.  SEM_ATLAS_BUDGET is read once, before any cell is
+    searched.
     """
     budget = _env_budget()
     rows: list[ReportRow] = []
@@ -560,7 +599,11 @@ def classify_all(n_max: int, types: Optional[Sequence[FaceSeqType]] = None,
         import multiprocessing  # here, not at the top: the import costs start-up time
 
         with multiprocessing.Pool(jobs) as pool:
-            results = pool.starmap(_search_cell, [(t, n, budget) for t, n in cells])
+            pending = [pool.apply_async(_search_cell, (t, n, budget))
+                       for t, n in cells]
+            # collected in census order, so a failure is the one that
+            # ``jobs=1`` raises, not whichever arrives first
+            results = [p.get() for p in pending]
     else:
         results = [_search_cell(t, n, budget) for t, n in cells]
     for (t, n), maps in zip(cells, results):

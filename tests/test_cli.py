@@ -232,6 +232,38 @@ def test_env_budget_caps_search(tmp_path, capsys, monkeypatch):
     assert code == 0 and "5 map(s)" in out
 
 
+@pytest.mark.parametrize("budget,error", [("1000", "BudgetExceeded"),
+                                          (None, "SearchTooDeep")])
+def test_hostile_n_is_a_domain_failure(capsys, monkeypatch, budget, error):
+    """A huge --n costs no memory up front; the search stops at the node
+    budget, or, without one, at the recursion limit (one level per face),
+    either way with one error line and exit 1."""
+    if budget is None:
+        monkeypatch.delenv("SEM_ATLAS_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("SEM_ATLAS_BUDGET", budget)
+    code, out, err = run(capsys, "enumerate", "--type", "3,3,3,4,4",
+                         "--n", str(2**62))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {error}: ") and len(err.splitlines()) == 1
+    assert f"n = {2**62}" in err
+
+
+@pytest.mark.parametrize("budget,cell", [("50", "(3,3,3,4,4), n = 12"),
+                                         ("300", "(3,3,3,4,4), n = 16")])
+def test_budget_failure_is_the_same_with_jobs(capsys, monkeypatch, budget, cell):
+    """The census reports the first cell in census order that runs out,
+    with its type and n, however many processes search it."""
+    monkeypatch.setenv("SEM_ATLAS_BUDGET", budget)
+    got = [run(capsys, "classify", "--max-vertices", "20", "--jobs", jobs)
+           for jobs in ("1", "2")]
+    assert got[0] == got[1]
+    code, out, err = got[0]
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: BudgetExceeded: exceeded {budget} search "
+                          f"nodes in cell {cell};")
+
+
 @pytest.mark.parametrize("raw", ["abc", "-1", "1.5", "\u0664"])
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--type", "3,3,3,4,4", "--n", "10"],

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from sematlas import enumeration
-from sematlas.classify import canonical_form, find_isomorphism
+from sematlas.classify import IntPolynomial, canonical_form, find_isomorphism
 from sematlas.core import (
     FaceSeqType,
     PolyhedralMap,
@@ -115,6 +115,14 @@ class TestSearch:
         # past the five faces of the fixed star around vertex 0, short of
         # the map's 15; vertex 0's own fan is closed
         assert 5 < depth < 15 and 0 < vertex < 12
+        assert "in cell (3,3,3,4,4), n = 12;" in str(exc.value)
+
+    def test_fans_are_not_sized_by_n(self):
+        """The fan list covers the labels a face can take, not ``n``, so a
+        huge cell allocates nothing up front."""
+        from sematlas.enumeration import _Searcher
+
+        assert len(_Searcher(T334, 2**62, None).fragments) == 4
 
     def test_emitted_type_check_is_not_an_assert(self, monkeypatch):
         # a typed error survives ``python -O``, which strips asserts
@@ -377,6 +385,33 @@ def test_dedupe_keeps_the_first_map_of_each_class():
             n_kept += len(kept)
     # the check has teeth: some cells complete one class more than once
     assert n_completed > n_kept
+
+
+def test_bucket_key_changes_nothing(monkeypatch):
+    """The bucket key only skips pairs it proves distinct: with one key for
+    every map, ``find_isomorphism`` meets every kept map, and the census
+    keeps the same maps in the same order."""
+    want = [serialize(m) for r in classify_all(16) for m in r.maps]
+    monkeypatch.setattr(enumeration, "edge_graph_char_poly",
+                        lambda m: IntPolynomial((1,)))
+    assert [serialize(m) for r in classify_all(16) for m in r.maps] == want
+
+
+def test_dedupe_compares_only_maps_of_one_bucket(monkeypatch):
+    """At n <= 20 the characteristic polynomial tells apart every pair of
+    non-isomorphic maps of a cell, so each ``find_isomorphism`` call finds
+    an isomorphism: one for each of the 46 completed maps beyond the 44
+    classes' first ones."""
+    found = []
+
+    def recording(a, b, *args, **kwargs):
+        got = find_isomorphism(a, b, *args, **kwargs)
+        found.append(got is not None)
+        return got
+
+    monkeypatch.setattr(enumeration, "find_isomorphism", recording)
+    assert sum(r.total for r in classify_all(20)) == 44
+    assert len(found) == 46 and all(found)
 
 
 def test_each_class_is_completed_once_per_rooting_orbit():
