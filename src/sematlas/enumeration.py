@@ -6,8 +6,9 @@ least vertex whose fan is still open and try every face that can extend
 it, with fresh vertices always taking the least unused label.  Pruning
 uses the exact per-size face budgets and each vertex's fan: no vertex
 may appear twice on its link, which is at once the edge-in-two-faces
-rule and the pairwise face-intersection condition, and every partial
-fan must embed consecutively in the target cyclic type.  It fails
+rule and the pairwise face-intersection condition, and the fragments
+of every partial fan must fit the target cyclic type together, each a
+consecutive run of it with a face free between each two.  It fails
 first, checking each corner as soon as a candidate face fixes it and
 cutting a node when any open edge admits no face at all.  A completed
 map is kept only when ``find_isomorphism`` finds no isomorphism to a map
@@ -30,6 +31,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 from typing import Optional, Sequence
 
 from .core import (
@@ -116,12 +118,22 @@ def _angle_sum(t: FaceSeqType) -> str:
     return f"{num // g}" if den == g else f"{num // g}/{den // g}"
 
 
-def min_vertices_gate(t: FaceSeqType, n_max: int) -> list[int]:
-    """The vertex counts n <= n_max that ``face_counts`` admits; none when
-    the regular faces' angles at a vertex do not sum to 360 degrees."""
+def _n_step(t: FaceSeqType) -> int:
+    """The step of the vertex counts that ``face_counts`` admits: n must
+    make every n * mult(p) / p integral and n * deg even."""
+    steps = [p // math.gcd(p, t.multiplicity(p)) for p in set(t.sizes)]
+    return math.lcm(2 // math.gcd(2, t.degree), *steps)
+
+
+def min_vertices_gate(t: FaceSeqType, n_max: int) -> range:
+    """The vertex counts n <= n_max that ``face_counts`` admits, the
+    multiples of one step at or above ``star_vertex_bound(t)``, as a range,
+    so a huge ``n_max`` costs nothing up front; none when the regular
+    faces' angles at a vertex do not sum to 360 degrees."""
     if _angle_sum(t) != "360":
-        return []
-    return [n for n in range(n_max + 1) if face_counts(t, n) is not None]
+        return range(0)
+    step = _n_step(t)
+    return range(-(-star_vertex_bound(t) // step) * step, n_max + 1, step)
 
 
 def gate_reason(t: FaceSeqType, n_max: int) -> str:
@@ -134,9 +146,8 @@ def gate_reason(t: FaceSeqType, n_max: int) -> str:
     if lo > n_max:
         return (f"the closed star of one vertex already needs {lo} vertices, "
                 f"more than {n_max}")
-    divisors = [p // math.gcd(p, t.multiplicity(p)) for p in set(t.sizes)]
     return (f"no n in {lo}..{n_max} gives integral face counts "
-            f"(n must be a multiple of {math.lcm(*divisors)} and >= {lo})")
+            f"(n must be a multiple of {_n_step(t)} and >= {lo})")
 
 
 # -- the backtracking search --------------------------------------------------
@@ -167,13 +178,53 @@ def _next_sizes(sizes: tuple[int, ...], t: tuple[int, ...]) -> frozenset[int]:
                      for off, direction in _embeddings(sizes, t))
 
 
+@lru_cache(maxsize=None)
+def _placeable(runs: tuple[tuple[int, ...], ...], t: tuple[int, ...]) -> bool:
+    """Whether the size runs ``runs`` of one vertex's open fragments fit
+    the cyclic type ``t`` together: each a consecutive run of ``t``, in
+    either direction, pairwise disjoint and with at least one position
+    free between each two.
+
+    A closed fan reads ``t`` around its vertex, and each fragment is a
+    run of it.  A vertex lies on at most one fragment, so two fragments
+    have distinct ends, and at least one face separates them once the
+    fan closes: a fan whose runs cannot be placed so never closes.  Keys
+    are multisets of runs of one type, a small finite set, so the cache
+    needs no bound."""
+    d = len(t)
+    if sum(map(len, runs)) + len(runs) > d:
+        return False
+    # each placement: the positions the run takes, and those with the
+    # two beside it, which no other run may take
+    options = []
+    for run in runs:
+        k = len(run)
+        options.append([(frozenset((off + step * i) % d for i in range(k)),
+                         frozenset((off + step * i) % d for i in range(-1, k + 1)))
+                        for off, step in _embeddings(run, t)])
+    for choice in product(*options):
+        blocked: set[int] = set()
+        for own, halo in choice:
+            if own & blocked:
+                break
+            blocked |= halo
+        else:
+            return True
+    return False
+
+
 @lru_cache(maxsize=4096)
 def _merged(frags: Optional[tuple], a: int, b: int, size: int,
             far: tuple[int, ...], t: tuple[int, ...]):
     """The fan ``frags`` with the corner a-v-b of a ``size``-gon added,
     ``far`` its other vertices in order from a to b, in a map of the
     normalised type ``t``: the new fragment tuple, None when the corner
-    closes the fan, or False when the corner cannot be added.
+    closes the fan, or False when the corner cannot be added.  A corner
+    that leaves the fan open is refused when a far vertex is already on
+    the fan, when a or b lies inside a path, or when the fragments'
+    size runs fail ``_placeable``: they must fit the cyclic type apart,
+    so one test covers the new fragment's own fit, the faces the fan
+    still needs and the count of each size.
 
     A pure function of immutable fans and the type, so one cache serves
     every search; the forward check re-tests witnesses on fans that have
@@ -209,17 +260,9 @@ def _merged(frags: Optional[tuple], a: int, b: int, size: int,
     path_b, sizes_b = frags[ib] if ib != -1 else ((b,), ())
     if path_b[-1] == b:
         path_b, sizes_b = path_b[::-1], sizes_b[::-1]
-    sizes = sizes_a + (size,) + sizes_b
-    # the new fragment must fit the cyclic type (the others passed
-    # this check when they were made), the fragments together must
-    # leave a face between each two, and no size may outnumber its
-    # multiplicity in the type
-    if not _embeddings(sizes, t):
-        return False
     out = tuple(f for i, f in enumerate(frags) if i not in (ia, ib))
-    out += ((path_a + far + path_b, sizes),)
-    flat = [s for _path, run in out for s in run]
-    if len(flat) + len(out) > len(t) or flat.count(size) > t.count(size):
+    out += ((path_a + far + path_b, sizes_a + (size,) + sizes_b),)
+    if not _placeable(tuple(sorted(run for _path, run in out)), t):
         return False
     return out
 
@@ -584,18 +627,21 @@ def classify_all(n_max: int, types: Optional[Sequence[FaceSeqType]] = None,
     ``jobs > 1`` searches the cells in that many processes; the rows, and
     the error a failing cell raises (the first in census order), are the
     same either way.  SEM_ATLAS_BUDGET is read once, before any cell is
-    searched.
+    searched.  One process searches the cells as the gate yields them, so
+    a budget ends even a census with a huge ``n_max`` at its first cell
+    that exhausts it; ``jobs > 1`` lists every cell up front.
     """
     budget = _env_budget()
     rows: list[ReportRow] = []
-    cells: list[tuple[FaceSeqType, int]] = []
+    gated = []
     for t in dict.fromkeys(types if types is not None else ALL_FLAT_TYPES):
         ns = min_vertices_gate(t, n_max)
         if not ns:
             rows.append(ReportRow(t, 0, 0, 0, 0,
                                   infeasible_reason=gate_reason(t, n_max)))
-        cells.extend((t, n) for n in ns)
-    if jobs > 1 and cells:
+        gated.append((t, ns))
+    cells = [(t, n) for t, ns in gated for n in ns] if jobs > 1 else ()
+    if cells:
         import multiprocessing  # here, not at the top: the import costs start-up time
 
         with multiprocessing.Pool(jobs) as pool:
@@ -603,10 +649,13 @@ def classify_all(n_max: int, types: Optional[Sequence[FaceSeqType]] = None,
                        for t, n in cells]
             # collected in census order, so a failure is the one that
             # ``jobs=1`` raises, not whichever arrives first
-            results = [p.get() for p in pending]
+            searched = [(t, n, p.get()) for (t, n), p in zip(cells, pending)]
     else:
-        results = [_search_cell(t, n, budget) for t, n in cells]
-    for (t, n), maps in zip(cells, results):
+        # one cell at a time, as the gate yields them, so a budget ends
+        # the census at the first cell that exhausts it
+        searched = ((t, n, _search_cell(t, n, budget))
+                    for t, ns in gated for n in ns)
+    for t, n, maps in searched:
         for m in maps:
             chi = euler_characteristic(m)
             if chi != 0:

@@ -1,17 +1,18 @@
 """Independent reference implementations used only to check the library."""
 
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence
 
-from sematlas.core import (PolyhedralMap, edge_key, euler_characteristic,
-                           flag_walk)
+from sematlas.core import (PolyhedralMap, canonical_face, edge_key,
+                           euler_characteristic, flag_walk)
 from sematlas.classify import (
     CanonicalForm,
     IntPolynomial,
     NotFlat,
     find_isomorphism,
 )
-from sematlas.enumeration import _Searcher
+from sematlas.enumeration import _embeddings, _Searcher
 
 
 def _gf2_reduce(vec: int, basis: list[int]) -> int:
@@ -182,11 +183,87 @@ def faddeev_leverrier_charpoly(matrix: Sequence[Sequence[int]]) -> IntPolynomial
     return IntPolynomial(tuple(reversed(coeffs)))
 
 
+def counting_merged(frags, a, b, size, far, t):
+    """``enumeration._merged`` without the placement test: the new
+    fragment must embed in the cyclic type ``t`` on its own, and the
+    fragments together are checked only by their face count and by the
+    count of each face size."""
+    if frags is None:
+        return False
+    ia = ib = -1
+    for i, (path, _sizes) in enumerate(frags):
+        for u in far:
+            if u in path:
+                return False
+        if a in path:
+            if a != path[0] and a != path[-1]:
+                return False
+            ia = i
+        if b in path:
+            if b != path[0] and b != path[-1]:
+                return False
+            ib = i
+    if ia != -1 and ia == ib:
+        return None if canonical_face(frags[ia][1] + (size,)) == t else False
+    path_a, sizes_a = frags[ia] if ia != -1 else ((a,), ())
+    if path_a[0] == a:
+        path_a, sizes_a = path_a[::-1], sizes_a[::-1]
+    path_b, sizes_b = frags[ib] if ib != -1 else ((b,), ())
+    if path_b[-1] == b:
+        path_b, sizes_b = path_b[::-1], sizes_b[::-1]
+    sizes = sizes_a + (size,) + sizes_b
+    if not _embeddings(sizes, t):
+        return False
+    out = tuple(f for i, f in enumerate(frags) if i not in (ia, ib))
+    out += ((path_a + far + path_b, sizes),)
+    flat = [s for _path, run in out for s in run]
+    if len(flat) + len(out) > len(t) or flat.count(size) > t.count(size):
+        return False
+    return out
+
+
+def placeable_run_sets(t: tuple[int, ...]) -> set[tuple[tuple[int, ...], ...]]:
+    """Every sorted tuple of size runs that a set of pairwise non-adjacent
+    arcs on the cycle of positions of the cyclic type ``t`` reads, each
+    arc in either direction.  Such arcs are the maximal runs of a set of
+    positions that leaves at least one position free."""
+    d = len(t)
+    got = set()
+    for mask in range((1 << d) - 1):
+        free = next(i for i in range(d) if not mask >> i & 1)
+        arcs, arc = [], []
+        # once round the cycle from a free position, ending on it
+        for k in range(1, d + 1):
+            i = (free + k) % d
+            if mask >> i & 1:
+                arc.append(i)
+            elif arc:
+                arcs.append(arc)
+                arc = []
+        for steps in product((1, -1), repeat=len(arcs)):
+            got.add(tuple(sorted(tuple(t[i] for i in arc[::step])
+                                 for arc, step in zip(arcs, steps))))
+    return got
+
+
 class ReferenceSearcher(_Searcher):
-    """The search without its speed prunes: no forward check, and
-    ``_faces`` tries every lexicographic completion of the face cycle,
-    skipping only labels already in it and closed vertices, and keeps a
-    complete one when ``_new_fans`` accepts it."""
+    """The search without its speed prunes: no forward check, ``_faces``
+    tries every lexicographic completion of the face cycle, skipping only
+    labels already in it and closed vertices, and keeps a complete one
+    when ``_new_fans`` accepts it, and ``_new_fans`` merges each corner
+    with ``counting_merged``, which has no placement test."""
+
+    def _new_fans(self, face):
+        p = len(face)
+        new = []
+        for i, v in enumerate(face):
+            far = tuple(face[(i - k) % p] for k in range(2, p - 1))
+            frags = counting_merged(self.fragments[v], face[i - 1],
+                                    face[(i + 1) % p], p, far, self.t)
+            if frags is False:
+                return None
+            new.append(frags)
+        return new
 
     def _dead_end(self, skip):
         return False

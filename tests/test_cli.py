@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -262,6 +266,32 @@ def test_budget_failure_is_the_same_with_jobs(capsys, monkeypatch, budget, cell)
     assert code == 1 and out == ""
     assert err.startswith(f"error: BudgetExceeded: exceeded {budget} search "
                           f"nodes in cell {cell};")
+
+
+def test_hostile_max_vertices_stops_at_the_budget():
+    """A huge --max-vertices costs nothing before the first search: the
+    census searches its cells as the gate yields them, so a node budget
+    ends it at the first cell that exhausts it, with the error that a
+    census to 20 vertices gives under the same budget.  Run as a
+    subprocess, so a census that never stops fails on its timeout."""
+    src = Path(enumeration.__file__).resolve().parents[1]
+    env = {**os.environ, "SEM_ATLAS_BUDGET": "10",
+           "PYTHONPATH": os.pathsep.join(
+               [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    got = []
+    for n_max in ("20", str(10**12)):
+        start = time.monotonic()
+        done = subprocess.run(
+            [sys.executable, "-m", "sematlas.cli", "classify",
+             "--max-vertices", n_max], env=env, capture_output=True,
+            text=True, timeout=60)
+        assert time.monotonic() - start < 30
+        got.append((done.returncode, done.stdout, done.stderr))
+    assert got[0] == got[1]
+    code, out, err = got[1]
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: BudgetExceeded: exceeded 10 search nodes "
+                          "in cell (3,3,3,4,4), n = 10;")
 
 
 @pytest.mark.parametrize("raw", ["abc", "-1", "1.5", "\u0664"])

@@ -26,7 +26,7 @@ from sematlas.enumeration import (
 )
 from sematlas.semmap import serialize
 
-from oracles import ReferenceSearcher, meets_cleanly
+from oracles import ReferenceSearcher, meets_cleanly, placeable_run_sets
 
 T334 = FaceSeqType((3, 3, 3, 4, 4))
 
@@ -53,16 +53,45 @@ class TestFaceCounts:
 
 class TestGate:
     def test_small_type_range(self):
-        assert min_vertices_gate(T334, 15) == [8, 10, 12, 14]
+        assert list(min_vertices_gate(T334, 15)) == [8, 10, 12, 14]
 
     def test_large_links_infeasible(self):
-        assert min_vertices_gate(FaceSeqType((3, 12, 12)), 20) == []
-        assert min_vertices_gate(FaceSeqType((4, 6, 12)), 20) == []
+        assert list(min_vertices_gate(FaceSeqType((3, 12, 12)), 20)) == []
+        assert list(min_vertices_gate(FaceSeqType((4, 6, 12)), 20)) == []
 
     def test_star_bounds_are_constructive(self):
         assert star_vertex_bound(FaceSeqType((3, 12, 12))) == 22
         assert star_vertex_bound(T334) == 8
         assert star_vertex_bound(FaceSeqType((4, 8, 8))) == 15
+
+    def test_the_gate_is_the_face_count_filter(self):
+        """The gate computes the admissible n arithmetically; it must give
+        exactly the n that ``face_counts`` admits, for every flat type
+        (and none for the others) at every n_max <= 60.  The step alone
+        must reproduce ``face_counts`` on every type, flat or not, so the
+        parity of n * deg is checked too: (5,5,5) needs even n."""
+        from itertools import combinations_with_replacement
+
+        from sematlas.enumeration import _angle_sum, _n_step
+
+        types = {FaceSeqType(sizes)
+                 for deg, pool in ((3, (3, 4, 5, 6, 7, 8, 9, 10, 12, 15,
+                                        18, 20, 24, 42)),
+                                   (4, range(3, 13)), (5, range(3, 9)),
+                                   (6, range(3, 7)))
+                 for sizes in combinations_with_replacement(pool, deg)}
+        flat = 0
+        for t in types:
+            admitted = [n for n in range(61) if face_counts(t, n) is not None]
+            assert admitted == [n for n in range(star_vertex_bound(t), 61)
+                                if n % _n_step(t) == 0], t
+            is_flat = _angle_sum(t) == "360"
+            flat += is_flat
+            for n_max in range(61):
+                want = [n for n in admitted if n <= n_max] if is_flat else []
+                assert list(min_vertices_gate(t, n_max)) == want, (t, n_max)
+        assert _n_step(FaceSeqType((5, 5, 5))) == 10
+        assert flat == 17
 
     def test_gate_reasons(self):
         assert "22" in gate_reason(FaceSeqType((3, 12, 12)), 20)
@@ -213,19 +242,22 @@ class TestPruneSoundness:
     def test_fan_test_refuses_unclean_faces(self, sizes, n):
         """The fan merges alone refuse every face that meets a committed
         face in more than a vertex or a common edge, or puts an edge in a
-        third face; the reference search offers them many such faces."""
+        third face; the reference search offers them many such faces.
+        Both its own merges and the library's must refuse them."""
+        from sematlas.enumeration import _Searcher
+
         unclean = []
 
         class Checked(ReferenceSearcher):
             def _new_fans(self, face):
                 fans = super()._new_fans(face)
                 if not meets_cleanly(self.faces, face):
-                    unclean.append(fans)
+                    unclean.append((fans, _Searcher._new_fans(self, face)))
                 return fans
 
         t = FaceSeqType(sizes)
         Checked(t, n, None).run()
-        assert unclean and all(fans is None for fans in unclean)
+        assert unclean and all(got == (None, None) for got in unclean)
 
     @pytest.mark.parametrize("sizes,n", PRUNE_CELLS)
     def test_search_ends_where_the_star_left_it(self, sizes, n):
@@ -258,7 +290,11 @@ def test_corner_check_counts_sizes():
     give the vertex a third quad, so the corner is refused.  So is a
     corner at a neighbour inside a path, whose edge to the vertex already
     lies in two faces, and a corner whose far vertex is already on the
-    fan."""
+    fan.  The fragments must also fit apart, each a run of the cyclic
+    type with a free face between each two: the two quads of (3,3,3,4,4)
+    are adjacent, so two lone quads cannot both fit, and in (3,3,4,3,4)
+    neither can a (3,3) run and a lone quad, though each fits alone and
+    no size outnumbers its multiplicity."""
     from sematlas.enumeration import _merged
 
     t = T334.sizes
@@ -267,8 +303,36 @@ def test_corner_check_counts_sizes():
     assert _merged(quads, 2, 9, 3, (), t)
     assert _merged(quads, 1, 9, 3, (), t) is False
     quad = (((5, 7, 1), (4,)),)
-    assert _merged(quad, 2, 9, 4, (3,), t)
-    assert _merged(quad, 2, 9, 4, (7,), t) is False
+    assert _merged(quad, 2, 9, 4, (3,), t) is False
+    assert _merged(quad, 1, 9, 4, (3,), t)
+    assert _merged(quad, 1, 9, 4, (7,), t) is False
+    pair = (((1, 2, 3), (3, 3)),)
+    assert _merged(pair, 5, 6, 4, (), (3, 3, 4, 3, 4)) is False
+    assert _merged(pair, 5, 6, 3, (), (3, 3, 4, 3, 4))
+
+
+@pytest.mark.parametrize("t", enumeration.ALL_FLAT_TYPES, ids=str)
+def test_placement_test_is_exact(t):
+    """``_placeable`` holds exactly on the tuples of runs that pairwise
+    non-adjacent arcs of the type's cycle read, over every sorted tuple of
+    runs of the cyclic type (in either direction) of total length at most
+    its degree."""
+    from sematlas.enumeration import _placeable
+
+    t = t.sizes
+    d = len(t)
+    runs = sorted({tuple(t[(off + step * i) % d] for i in range(k))
+                   for off in range(d) for step in (1, -1)
+                   for k in range(1, d + 1)})
+    # (sorted tuple, index of its last run, total length), grown in place
+    tuples = [((), 0, 0)]
+    for got, lo, total in tuples:
+        tuples.extend((got + (run,), j, total + len(run))
+                      for j, run in enumerate(runs[lo:], lo)
+                      if total + len(run) <= d)
+    placed = {got for got, _lo, _total in tuples if _placeable(got, t)}
+    assert placed == placeable_run_sets(t)
+    assert len(placed) < len(tuples)
 
 
 def test_corner_check_cache_is_bounded():
@@ -317,16 +381,16 @@ def test_corner_check_cache_keys_on_the_type():
 #: n <= 16.  A refactor of the search must leave it as it is; a prune
 #: change alters it on purpose.
 SEARCH_TREE = {
-    ((3, 3, 3, 4, 4), 8): (4, 0),
-    ((3, 3, 3, 4, 4), 10): (41, 2),
-    ((3, 3, 3, 4, 4), 12): (139, 5),
-    ((3, 3, 3, 4, 4), 14): (255, 3),
-    ((3, 3, 3, 4, 4), 16): (548, 7),
+    ((3, 3, 3, 4, 4), 8): (1, 0),
+    ((3, 3, 3, 4, 4), 10): (23, 2),
+    ((3, 3, 3, 4, 4), 12): (111, 5),
+    ((3, 3, 3, 4, 4), 14): (209, 3),
+    ((3, 3, 3, 4, 4), 16): (472, 7),
     ((3, 3, 4, 3, 4), 8): (1, 0),
-    ((3, 3, 4, 3, 4), 10): (40, 0),
-    ((3, 3, 4, 3, 4), 12): (147, 1),
-    ((3, 3, 4, 3, 4), 14): (252, 0),
-    ((3, 3, 4, 3, 4), 16): (607, 3),
+    ((3, 3, 4, 3, 4), 10): (35, 0),
+    ((3, 3, 4, 3, 4), 12): (131, 1),
+    ((3, 3, 4, 3, 4), 14): (225, 0),
+    ((3, 3, 4, 3, 4), 16): (547, 3),
     ((3, 4, 6, 4), 12): (1, 0),
     ((4, 8, 8), 16): (1, 0),
     ((3, 3, 3, 3, 6), 12): (14, 0),
@@ -494,7 +558,7 @@ class TestClassifyAll:
         regular faces' angles at a vertex to sum to 360 degrees; any other
         type gets one row with the exact sum and no search."""
         t = FaceSeqType(sizes)
-        assert min_vertices_gate(t, 30) == []
+        assert list(min_vertices_gate(t, 30)) == []
         rows = classify_all(30, [t])
         assert [(r.type, r.n, r.total, r.maps) for r in rows] == [(t, 0, 0, [])]
         assert rows[0].infeasible_reason == (
