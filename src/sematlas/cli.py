@@ -36,6 +36,7 @@ from .enumeration import (
     ALL_FLAT_TYPES,
     BadBudget,
     BudgetExceeded,
+    ReportRow,
     SearchTooDeep,
     classify_all,
     enumerate_sems,
@@ -159,33 +160,25 @@ def cmd_enumerate(args) -> int:
     print(f"{len(maps)} map(s) of type {t} on {args.n} vertices")
     if args.out:
         outdir = Path(args.out)
-        orientations = [is_orientable(m) for m in maps]
-        for name in _save_cell(outdir, t, args.n, maps, orientations):
+        row = ReportRow(t, args.n, maps, [is_orientable(m) for m in maps])
+        for name in _save_cell(outdir, row):
             print(f"  wrote {outdir / (name + '.map')}")
     return 0
 
 
-def _cell_names(t, n, orientations):
-    type_slug = "-".join(str(s) for s in t.sizes)
-    names = []
-    it = ik = 0
-    for orientable in orientations:
-        if orientable:
-            it += 1
-            names.append(f"T_{it}_{n}__{type_slug}")
-        else:
-            ik += 1
-            names.append(f"K_{ik}_{n}__{type_slug}")
-    return names
-
-
-def _save_cell(outdir: Path, t, n, maps, orientations) -> list[str]:
-    """Save one cell's maps, whose ``is_orientable`` values are
-    ``orientations``, into ``outdir`` under their names; return the names."""
+def _save_cell(outdir: Path, row: ReportRow) -> list[str]:
+    """Save a row's maps into ``outdir`` as ``T_<i>_<n>__<type>.map`` if
+    orientable, else ``K_<i>_<n>__<type>.map``, each kind numbered from 1
+    in the row's order; return the names."""
     outdir.mkdir(parents=True, exist_ok=True)
-    names = _cell_names(t, n, orientations)
-    for name, m in zip(names, maps):
+    type_slug = "-".join(str(s) for s in row.type.sizes)
+    names, counts = [], {"T": 0, "K": 0}
+    for m, orientable in zip(row.maps, row.orientations):
+        kind = "T" if orientable else "K"
+        counts[kind] += 1
+        name = f"{kind}_{counts[kind]}_{row.n}__{type_slug}"
         semmap.save(m, outdir / f"{name}.map", comment=name)
+        names.append(name)
     return names
 
 
@@ -203,9 +196,7 @@ def cmd_classify(args) -> int:
     rows = classify_all(args.max_vertices, types, jobs=args.jobs)
     written = {}
     if args.out:
-        written = {(r.type, r.n): _save_cell(Path(args.out), r.type, r.n,
-                                             r.maps, r.orientations)
-                   for r in rows}
+        written = {(r.type, r.n): _save_cell(Path(args.out), r) for r in rows}
     print(_format_report(rows, args.format, written))
     return 0
 

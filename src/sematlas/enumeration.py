@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from typing import Optional, Sequence
 
@@ -591,7 +591,7 @@ def enumerate_sems(t: FaceSeqType, n: int,
 def _search_cell(t: FaceSeqType, n: int,
                  budget: Optional[int]) -> list[PolyhedralMap]:
     """``enumerate_sems`` with ``budget`` as given, None for no cap: the
-    environment is not read.  Module-level, so worker processes can run it."""
+    environment is not read.  The census runs it through ``_cell_row``."""
     if face_counts(t, n) is None:
         return []
     searcher = _Searcher(t, n, budget)
@@ -607,15 +607,42 @@ def _search_cell(t: FaceSeqType, n: int,
 
 @dataclass
 class ReportRow:
+    """One census cell, its maps one per class; or, with ``n`` 0 and no
+    maps, a type the gate rejects for every n, with the reason.  The counts
+    are read off ``maps`` and ``orientations``, so they cannot disagree."""
     type: FaceSeqType
     n: int
-    total: int
-    orientable: int
-    non_orientable: int
     maps: list[PolyhedralMap] = field(repr=False, default_factory=list)
     #: ``is_orientable`` of each map, in the order of ``maps``
     orientations: list[bool] = field(repr=False, default_factory=list)
     infeasible_reason: Optional[str] = None
+
+    @property
+    def total(self) -> int:
+        return len(self.maps)
+
+    @property
+    def orientable(self) -> int:
+        return sum(self.orientations)
+
+    @property
+    def non_orientable(self) -> int:
+        return self.total - self.orientable
+
+
+def _cell_row(cell: tuple[FaceSeqType, int], budget: Optional[int]) -> ReportRow:
+    """The census row of one cell: its maps, each checked to have Euler
+    characteristic 0, and their orientability.  Module-level, so worker
+    processes can run it."""
+    t, n = cell
+    maps = _search_cell(t, n, budget)
+    for m in maps:
+        chi = euler_characteristic(m)
+        if chi != 0:
+            raise SearchInvariantError(
+                f"enumerated map of type {t} on {n} vertices has "
+                f"chi = {chi}; closed flat types force 0")
+    return ReportRow(t, n, maps, [is_orientable(m) for m in maps])
 
 
 def classify_all(n_max: int, types: Optional[Sequence[FaceSeqType]] = None,
@@ -624,47 +651,28 @@ def classify_all(n_max: int, types: Optional[Sequence[FaceSeqType]] = None,
 
     A type the gate rejects for every n gets one row with the reason.  A
     type named twice is searched once.  Rows come sorted by (type, n).
-    ``jobs > 1`` searches the cells in that many processes; the rows, and
-    the error a failing cell raises (the first in census order), are the
-    same either way.  SEM_ATLAS_BUDGET is read once, before any cell is
-    searched.  One process searches the cells as the gate yields them, so
-    a budget ends even a census with a huge ``n_max`` at its first cell
-    that exhausts it; ``jobs > 1`` lists every cell up front.
+    SEM_ATLAS_BUDGET is read once, before any cell is searched.  The cells
+    are searched as the gate yields them, so a budget ends even a census
+    with a huge ``n_max`` at its first cell that exhausts it.  ``jobs > 1``
+    searches them in that many processes, at most one per CPU; the rows,
+    and the error a failing cell raises (the first in census order), are
+    the same either way.
     """
-    budget = _env_budget()
-    rows: list[ReportRow] = []
-    gated = []
-    for t in dict.fromkeys(types if types is not None else ALL_FLAT_TYPES):
-        ns = min_vertices_gate(t, n_max)
-        if not ns:
-            rows.append(ReportRow(t, 0, 0, 0, 0,
-                                  infeasible_reason=gate_reason(t, n_max)))
-        gated.append((t, ns))
-    cells = [(t, n) for t, ns in gated for n in ns] if jobs > 1 else ()
-    if cells:
+    types = dict.fromkeys(types if types is not None else ALL_FLAT_TYPES)
+    rows = [ReportRow(t, 0, infeasible_reason=gate_reason(t, n_max))
+            for t in types if not min_vertices_gate(t, n_max)]
+    cells = ((t, n) for t in types for n in min_vertices_gate(t, n_max))
+    row = partial(_cell_row, budget=_env_budget())
+    procs = min(jobs, os.cpu_count() or 1)
+    if procs > 1:
         import multiprocessing  # here, not at the top: the import costs start-up time
 
-        with multiprocessing.Pool(jobs) as pool:
-            pending = [pool.apply_async(_search_cell, (t, n, budget))
-                       for t, n in cells]
-            # collected in census order, so a failure is the one that
-            # ``jobs=1`` raises, not whichever arrives first
-            searched = [(t, n, p.get()) for (t, n), p in zip(cells, pending)]
+        # ``imap`` draws the cells lazily (its feeder thread waits while
+        # the workers' pipe is full) and yields the rows in census order,
+        # so a failure is the one that one process raises
+        with multiprocessing.Pool(procs) as pool:
+            rows += pool.imap(row, cells)
     else:
-        # one cell at a time, as the gate yields them, so a budget ends
-        # the census at the first cell that exhausts it
-        searched = ((t, n, _search_cell(t, n, budget))
-                    for t, ns in gated for n in ns)
-    for t, n, maps in searched:
-        for m in maps:
-            chi = euler_characteristic(m)
-            if chi != 0:
-                raise SearchInvariantError(
-                    f"enumerated map of type {t} on {n} vertices has "
-                    f"chi = {chi}; closed flat types force 0")
-        orientations = [is_orientable(m) for m in maps]
-        orient = sum(orientations)
-        rows.append(ReportRow(t, n, len(maps), orient, len(maps) - orient,
-                              maps=maps, orientations=orientations))
+        rows += map(row, cells)
     rows.sort(key=lambda r: (r.type.sizes, r.n))
     return rows

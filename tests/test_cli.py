@@ -268,12 +268,13 @@ def test_budget_failure_is_the_same_with_jobs(capsys, monkeypatch, budget, cell)
                           f"nodes in cell {cell};")
 
 
-def test_hostile_max_vertices_stops_at_the_budget():
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_hostile_max_vertices_stops_at_the_budget(jobs):
     """A huge --max-vertices costs nothing before the first search: the
-    census searches its cells as the gate yields them, so a node budget
-    ends it at the first cell that exhausts it, with the error that a
-    census to 20 vertices gives under the same budget.  Run as a
-    subprocess, so a census that never stops fails on its timeout."""
+    census searches its cells as the gate yields them, also in a pool, so
+    a node budget ends it at the first cell that exhausts it, with the
+    error that a census to 20 vertices gives under the same budget.  Run
+    as a subprocess, so a census that never stops fails on its timeout."""
     src = Path(enumeration.__file__).resolve().parents[1]
     env = {**os.environ, "SEM_ATLAS_BUDGET": "10",
            "PYTHONPATH": os.pathsep.join(
@@ -283,8 +284,8 @@ def test_hostile_max_vertices_stops_at_the_budget():
         start = time.monotonic()
         done = subprocess.run(
             [sys.executable, "-m", "sematlas.cli", "classify",
-             "--max-vertices", n_max], env=env, capture_output=True,
-            text=True, timeout=60)
+             "--max-vertices", n_max, "--jobs", jobs], env=env,
+            capture_output=True, text=True, timeout=60)
         assert time.monotonic() - start < 30
         got.append((done.returncode, done.stdout, done.stderr))
     assert got[0] == got[1]

@@ -1,5 +1,7 @@
 import gc
 import hashlib
+import multiprocessing
+import os
 import re
 from collections import Counter
 
@@ -580,6 +582,39 @@ class TestClassifyAll:
                                         FaceSeqType((4, 4, 3, 3, 3)), T334,
                                         FaceSeqType((3, 12, 12))]))
         assert twice == once
+
+    @pytest.mark.parametrize("cpus,pools", [(None, []), (1, []), (3, [3])])
+    def test_jobs_are_capped_at_the_cpu_count(self, monkeypatch, cpus, pools):
+        """A huge ``jobs`` asks for one worker per CPU, and none when there
+        is one CPU or the count is unknown; the rows are those of one
+        process.  The pool is a fake that maps in this process, so the
+        test starts no process."""
+        want = classify_all(12, [T334])
+        requested = []
+
+        class FakePool:
+            def __init__(self, processes):
+                requested.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, iterable):
+                return map(func, iterable)
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        got = classify_all(12, [T334], jobs=10**12)
+        assert requested == pools
+
+        def table(rows):
+            return [(r.type, r.n, r.orientations, [serialize(m) for m in r.maps])
+                    for r in rows]
+
+        assert table(got) == table(want)
 
     def test_the_budget_variable_is_read_once(self, monkeypatch):
         """SEM_ATLAS_BUDGET is read once per census, before any cell is
