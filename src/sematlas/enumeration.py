@@ -294,7 +294,11 @@ class _Searcher:
     the face built so far, and the forward check of every open edge
     (``_dead_end``) only cut sooner what ``_new_fans`` would refuse.
     The test suite's ``ReferenceSearcher`` searches without them and
-    finds the same maps on small cells.
+    finds the same maps on small cells.  The forward check keeps one
+    witness face per open edge and re-tests it only at the corners
+    whose fan has changed (``_fillable``); it searches an edge anew
+    fresh labels first, while the branching takes faces in
+    lexicographic order, which fixes the maps emitted.
     """
 
     def __init__(self, t: FaceSeqType, n: int, budget: Optional[int]):
@@ -312,21 +316,28 @@ class _Searcher:
         #: ``edge_graph_char_poly`` coefficients -> the kept maps with them
         self.buckets: dict[tuple[int, ...], list[PolyhedralMap]] = {}
         #: open edge (v, end) -> the last face found to fill it, fresh
-        #: labels stored as offsets ~k from ``used``
-        self.witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
+        #: labels stored as offsets ~k from ``used``, and the fans of its
+        #: vertices when it was last accepted
+        self.witnesses: dict[tuple[int, int], tuple[tuple, tuple]] = {}
 
     # -- fans and faces --
 
+    def _corner(self, face: tuple[int, ...], i: int):
+        """``_merged`` on the corner of ``face`` at its ``i``-th vertex,
+        with the type ``self.t``: the vertex's fan once ``face`` is
+        committed, or False when the corner is refused."""
+        p = len(face)
+        far = tuple(face[(i - k) % p] for k in range(2, p - 1))
+        return _merged(self.fragments[face[i]], face[i - 1],
+                       face[(i + 1) % p], p, far, self.t)
+
     def _new_fans(self, face: tuple[int, ...]) -> Optional[list]:
         """The fans of ``face``'s vertices once it is committed, or None
-        when it may not be: ``_merged`` on each corner, with the type
-        ``self.t``.  The one acceptance test; it changes nothing."""
-        p = len(face)
+        when it may not be: ``_corner`` at each vertex.  The one
+        acceptance test; it changes nothing."""
         new = []
-        for i, v in enumerate(face):
-            far = tuple(face[(i - k) % p] for k in range(2, p - 1))
-            frags = _merged(self.fragments[v], face[i - 1],
-                            face[(i + 1) % p], p, far, self.t)
+        for i in range(len(face)):
+            frags = self._corner(face, i)
             if frags is False:
                 return None
             new.append(frags)
@@ -406,28 +417,42 @@ class _Searcher:
     def _fillable(self, v: int, end: int) -> bool:
         """Whether ``_faces`` gives some face for the open edge {v, end}.
 
-        The edge keeps the last face found as its witness.  The witness
-        is alive exactly when ``_new_fans`` accepts it now, its fresh
-        labels (offsets from ``used``) distinct and below ``n`` and its
-        size with budget left.  Fresh labels are interchangeable, so that
-        is the verdict of searching the edge anew, which happens only
-        when the witness has died, or holds a label that a backtrack freed
-        and the fan list no longer reaches (87 of 54,858 replays in the
-        census cells and (3,3,4,3,4) at n = 22)."""
+        The edge keeps the last face found as its witness, with the fans
+        of the face's vertices when it was last accepted.  The witness is
+        alive when its fresh labels (offsets from ``used``) are distinct
+        and below ``n`` and its size has budget left, and ``_merged``
+        accepts every corner whose vertex's fan is no longer the stored
+        object.  That is exact: the witness keeps each stored fan alive,
+        so no other fan takes its ``id``; a fan that is the same object
+        holds only labels below ``used``, then and now, and fresh labels
+        lie on no fan, so ``_merged``'s verdict at that corner stands.
+        A live witness takes the current fans.  A dead one, or one that
+        holds a label a backtrack freed and the fan list no longer
+        reaches, sends the edge back to ``_faces``, fresh labels first:
+        a witness that takes fresh labels meets few used vertices, whose
+        fans are the ones that change."""
         used = self.used
+        fragments = self.fragments
         witness = self.witnesses.get((v, end))
         if witness is not None:
-            face = tuple(u if u >= 0 else used + ~u for u in witness)
+            labels, fans = witness
+            face = tuple(u if u >= 0 else used + ~u for u in labels)
             top = max(face)
-            if (top < self.n and top < len(self.fragments)
+            if (top < self.n and top < len(fragments)
                     and len(set(face)) == len(face)
-                    and self.budgets[len(face)] > 0
-                    and self._new_fans(face) is not None):
-                return True
+                    and self.budgets[len(face)] > 0):
+                now = tuple(fragments[u] for u in face)
+                for i, fan in enumerate(now):
+                    if fan is not fans[i] and self._corner(face, i) is False:
+                        break
+                else:
+                    self.witnesses[(v, end)] = (labels, now)
+                    return True
         for size in self._allowed(v, end):
-            for face in self._faces([end, v], size, used):
-                self.witnesses[(v, end)] = tuple(
-                    u if u < used else ~(u - used) for u in face)
+            for face in self._faces([end, v], size, used, fresh_first=True):
+                self.witnesses[(v, end)] = (
+                    tuple(u if u < used else ~(u - used) for u in face),
+                    tuple(fragments[u] for u in face))
                 return True
         return False
 
@@ -464,18 +489,21 @@ class _Searcher:
         return _merged(self.fragments[end], last, prefix[1], size,
                        tuple(prefix[-2:1:-1]), self.t) is not False
 
-    def _faces(self, prefix: list[int], size: int, used_now: int):
+    def _faces(self, prefix: list[int], size: int, used_now: int,
+               fresh_first: bool = False):
         """Yield the faces that may be committed among the completions of
         the face cycle (end, v, w, x1, ..., x_{size-3}) that ``prefix``
-        begins, in lexicographic order, fresh labels taking the least
-        unused.  A method rather than a self-calling closure, so a call
-        leaves no reference cycle behind."""
+        begins, fresh labels taking the least unused: in lexicographic
+        order, which the branching follows, or with ``fresh_first`` in
+        the reverse order of each position's candidates, which only the
+        forward check asks for.  A method rather than a self-calling
+        closure, so a call leaves no reference cycle behind."""
         if len(prefix) == size:
             if self._closes(prefix, size):
                 yield tuple(prefix)
             return
         cap = min(used_now + 1, self.n)
-        cands = range(cap)
+        cands = range(cap - 1, -1, -1) if fresh_first else range(cap)
         prev, ends = prefix[-1], ()
         if prev < self.used:
             # fail first: the next vertex fixes the corner a-prev-cand,
@@ -489,7 +517,7 @@ class _Searcher:
             ends = {u for path, _sizes in frags for u in (path[0], path[-1])}
             ends.discard(a)
             if _merged(frags, a, self.n, size, (), self.t) is False:
-                cands = sorted(u for u in ends if u < cap)
+                cands = sorted((u for u in ends if u < cap), reverse=fresh_first)
         for cand in cands:
             if cand in prefix:
                 continue
@@ -498,7 +526,8 @@ class _Searcher:
             if cand in ends and _merged(frags, a, cand, size, (), self.t) is False:
                 continue
             prefix.append(cand)
-            yield from self._faces(prefix, size, max(used_now, cand + 1))
+            yield from self._faces(prefix, size, max(used_now, cand + 1),
+                                   fresh_first)
             prefix.pop()
 
     # -- main recursion --

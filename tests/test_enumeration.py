@@ -184,6 +184,12 @@ class _NoWitnesses(dict):
         return default
 
 
+def _open_edges(s):
+    """Each open edge (v, end), v < end, of a searcher's fans."""
+    return [(v, end) for v in range(s.used) for path, _sizes in s.fragments[v] or ()
+            for end in (path[-1], path[0]) if end > v]
+
+
 PRUNE_CELLS = [
     ((3, 3, 3, 4, 4), 10),
     ((3, 3, 3, 4, 4), 12),
@@ -238,6 +244,62 @@ class TestPruneSoundness:
             s.run()
             results[forget] = (s.nodes, [serialize(m) for m in s.results])
         assert results[True] == results[False]
+
+    @pytest.mark.parametrize("sizes,n", PRUNE_CELLS)
+    def test_each_witness_verdict_is_a_fresh_search(self, sizes, n):
+        """At every node, every open edge's ``_fillable`` verdict, which
+        re-tests a witness only at the corners whose fan changed, is the
+        verdict of searching the edge anew in lexicographic order with no
+        witness.  Witnesses are recorded deep in the tree and replayed
+        after backtracks, so this checks them where they are stalest."""
+        from sematlas.enumeration import _Searcher
+
+        verdicts = Counter()
+
+        class Checked(_Searcher):
+            def _dead_end(self, skip):
+                for v, end in _open_edges(self):
+                    fresh = any(True for size in self._allowed(v, end)
+                                for _face in self._faces([end, v], size, self.used))
+                    got = self._fillable(v, end)
+                    assert got == fresh, (v, end, self.faces)
+                    verdicts[got] += 1
+                return super()._dead_end(skip)
+
+        s = Checked(FaceSeqType(sizes), n, None)
+        s.run()
+        plain = _Searcher(FaceSeqType(sizes), n, None)
+        plain.run()
+        assert s.nodes == plain.nodes
+        assert verdicts[True] > 0
+        if s.nodes > 1:
+            assert verdicts[False] > 0
+
+    @pytest.mark.parametrize("sizes,n", [((3, 3, 3, 4, 4), 10),
+                                         ((3, 3, 4, 3, 4), 12)])
+    def test_fresh_first_order_yields_the_same_faces(self, sizes, n):
+        """The forward check's fresh-first order of ``_faces`` and the
+        branching's lexicographic order give the same faces, each once,
+        for every open edge and allowed size at every node."""
+        from sematlas.enumeration import _Searcher
+
+        reordered = []
+
+        class Checked(_Searcher):
+            def _dead_end(self, skip):
+                for edge in _open_edges(self):
+                    for v, end in (edge, edge[::-1]):
+                        for size in self._allowed(v, end):
+                            lex = list(self._faces([end, v], size, self.used))
+                            fresh = list(self._faces([end, v], size, self.used,
+                                                     fresh_first=True))
+                            assert len(set(fresh)) == len(fresh)
+                            assert sorted(fresh) == lex
+                            reordered.append(fresh != lex)
+                return super()._dead_end(skip)
+
+        Checked(FaceSeqType(sizes), n, None).run()
+        assert any(reordered) and not all(reordered)
 
     @pytest.mark.parametrize("sizes,n", [((3, 3, 3, 4, 4), 10),
                                          ((3, 3, 4, 3, 4), 12)])
