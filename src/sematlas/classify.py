@@ -124,6 +124,12 @@ def _least_walk(m: PolyhedralMap) -> tuple[bytes, tuple[int, ...], list[int]]:
     since its serialization equals that earlier flag's.  Every flag with
     the least serialization is paired with the winning start flag, so its
     class is its orbit under Aut, which acts freely: |Aut| flags.
+
+    A walk's serialization is the vertex count, then the relabelled faces
+    in ``canonical_face``'s normal form, sorted, one line each.  Faces
+    have distinct vertices, so each normal form takes one pass; the
+    labels' byte tokens and the header are encoded once per map, and
+    each walk only joins them.
     """
     parent = list(range(len(m.flags.s1)))
     walked = bytearray(len(parent))  # per class root: holds a walked flag
@@ -134,6 +140,8 @@ def _least_walk(m: PolyhedralMap) -> tuple[bytes, tuple[int, ...], list[int]]:
             x = parent[x]
         return x
 
+    token = [str(v).encode() for v in range(m.n_vertices)]
+    header = str(m.n_vertices).encode() + b"\n"
     best: Optional[bytes] = None
     best_perm: Optional[tuple[int, ...]] = None
     best_walk: list[int] = []
@@ -144,10 +152,9 @@ def _least_walk(m: PolyhedralMap) -> tuple[bytes, tuple[int, ...], list[int]]:
         walked[r] = 1
         walk = list(flag_walk(m, start))
         perm = _traversal_labels(m, walk)
-        faces = sorted(canonical_face(tuple(perm[v] for v in f)) for f in m.faces)
-        blob = b"\n".join(
-            b" ".join(str(v).encode() for v in face) for face in faces)
-        blob = str(m.n_vertices).encode() + b"\n" + blob
+        faces = sorted([canonical_face([perm[v] for v in f]) for f in m.faces])
+        blob = header + b"\n".join(
+            [b" ".join([token[v] for v in face]) for face in faces])
         if best is None or blob < best:
             best, best_perm, best_walk = blob, perm, walk
         elif blob == best:

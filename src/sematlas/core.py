@@ -58,10 +58,24 @@ def _natural(token: str) -> int:
 
 def canonical_face(face: Sequence[int]) -> tuple[int, ...]:
     """Least rotation of a cyclic sequence over both traversal directions:
-    the normal form of a face and of a face-sequence type."""
+    the normal form of a face and of a face-sequence type.
+
+    When the entries are distinct, as a face's vertices always are, the
+    least rotation starts at the least entry, and of its two directions
+    the one with the smaller second entry wins: O(k).  A sequence with a
+    repeated entry, such as the type (3,3,4,3,4), compares all 2k
+    rotations."""
+    seq = tuple(face)
+    k = len(seq)
+    if k and len(set(seq)) == k:
+        i = seq.index(min(seq))
+        if seq[i - 1] < seq[(i + 1) % k]:
+            seq = seq[::-1]
+            i = k - 1 - i
+        return seq[i:] + seq[:i]
     best = None
-    for seq in (tuple(face), tuple(reversed(face))):
-        for i in range(len(seq)):
+    for seq in (seq, seq[::-1]):
+        for i in range(k):
             rot = seq[i:] + seq[:i]
             if best is None or rot < best:
                 best = rot

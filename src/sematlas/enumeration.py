@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import product
@@ -627,6 +628,10 @@ def _search_cell(t: FaceSeqType, n: int,
     try:
         searcher.run()
     except RecursionError:
+        # the search recurses once per face; a shallower overflow came
+        # from elsewhere and is not the cell's depth
+        if 2 * len(searcher.faces) < sys.getrecursionlimit():
+            raise
         raise SearchTooDeep(
             f"cell {t}, n = {n}: the search reached depth "
             f"{len(searcher.faces)} (faces committed), past the "

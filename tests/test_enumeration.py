@@ -161,6 +161,22 @@ class TestSearch:
         with pytest.raises(SearchInvariantError):
             enumerate_sems(T334, 10)
 
+    def test_a_shallow_recursion_error_is_not_search_too_deep(self, monkeypatch):
+        """Only an overflow at a depth near the interpreter's limit is the
+        search's own; one raised a few faces deep comes through unchanged."""
+        calls = []
+
+        def overflow(self, slot):
+            calls.append(len(self.faces))
+            if len(calls) == 3:
+                raise RecursionError("injected")
+            return False
+
+        monkeypatch.setattr(enumeration._Searcher, "_dead_end", overflow)
+        with pytest.raises(RecursionError, match="injected"):
+            enumerate_sems(T334, 12)
+        assert calls[-1] < 20
+
     def test_search_leaves_no_reference_cycles(self):
         # everything the search allocates is freed by reference counting
         gc.collect()

@@ -1,11 +1,12 @@
 """Relabeling-invariance and normalization properties, hypothesis-driven."""
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from sematlas import semmap
 from sematlas.classify import canonical_form, edge_graph_char_poly
 from sematlas.core import FaceSeqType, PolyhedralMap, canonical_face, is_orientable, validate
+from sematlas.enumeration import ALL_FLAT_TYPES
 
 from conftest import K_1_10_FACES, T_1_10_FACES, TETRAHEDRON
 
@@ -79,3 +80,35 @@ def test_canonical_face_key(face, rotation, reflect):
         rotated = list(reversed(rotated))
     assert canonical_face(rotated) == canonical_face(face)
     assert min(canonical_face(face)) == canonical_face(face)[0]
+
+
+def least_rotation(seq) -> tuple:
+    """Every rotation of both directions, compared: the normal form by
+    brute force."""
+    seq = tuple(seq)
+    rotations = [s[i:] + s[:i] for s in (seq, seq[::-1]) for i in range(len(seq))]
+    return min(rotations)
+
+
+def _with_flat_types(test):
+    """Add every flat type, forwards and reversed, as explicit examples."""
+    for t in ALL_FLAT_TYPES:
+        test = example(list(t.sizes), False)(test)
+        test = example(list(reversed(t.sizes)), True)(test)
+    return test
+
+
+@given(st.one_of(
+           st.lists(st.integers(min_value=0, max_value=30), min_size=1,
+                    max_size=9, unique=True),
+           st.lists(st.integers(min_value=3, max_value=5), min_size=1,
+                    max_size=9)),
+       st.booleans())
+@_with_flat_types
+@settings(max_examples=150, deadline=None)
+def test_canonical_face_is_the_least_rotation(seq, as_tuple):
+    """Distinct entries take the linear path and repeated ones the loop;
+    both must give the least of all 2k rotations, for lists and tuples."""
+    got = canonical_face(tuple(seq) if as_tuple else seq)
+    assert type(got) is tuple
+    assert got == least_rotation(seq)
