@@ -38,7 +38,6 @@ from typing import Optional, Sequence
 from .core import (
     FaceSeqType,
     PolyhedralMap,
-    canonical_face,
     euler_characteristic,
     is_orientable,
     is_semi_equivelar,
@@ -221,11 +220,14 @@ def _merged(frags: Optional[tuple], a: int, b: int, size: int,
     ``far`` its other vertices in order from a to b, in a map of the
     normalised type ``t``: the new fragment tuple, None when the corner
     closes the fan, or False when the corner cannot be added.  A corner
-    that leaves the fan open is refused when a far vertex is already on
-    the fan, when a or b lies inside a path, or when the fragments'
-    size runs fail ``_placeable``: they must fit the cyclic type apart,
-    so one test covers the new fragment's own fit, the faces the fan
-    still needs and the count of each size.
+    that joins the two ends of one fragment closes the fan when the
+    closed run of sizes is as long as ``t`` and ``_embeddings`` embeds
+    it in ``t``, that is when it is a rotation or reflection of the
+    type.  A corner that leaves the fan open is refused when a far
+    vertex is already on the fan, when a or b lies inside a path, or
+    when the fragments' size runs fail ``_placeable``: they must fit the
+    cyclic type apart, so one test covers the new fragment's own fit,
+    the faces the fan still needs and the count of each size.
 
     A pure function of immutable fans and the type, so one cache serves
     every search; the forward check re-tests witnesses on fans that have
@@ -234,7 +236,8 @@ def _merged(frags: Optional[tuple], a: int, b: int, size: int,
     if frags is None:
         return False
     ia = ib = -1
-    for i, (path, _sizes) in enumerate(frags):
+    i = 0
+    for path, _sizes in frags:
         # a far vertex on the link would share a face with v but no
         # edge; a neighbour inside a path already has its edge to v
         # in two faces
@@ -249,10 +252,12 @@ def _merged(frags: Optional[tuple], a: int, b: int, size: int,
             if b != path[0] and b != path[-1]:
                 return False
             ib = i
+        i += 1
     if ia != -1 and ia == ib:
         # the corner joins the two ends of one fragment: the fan closes,
-        # and its cycle of sizes must be the type
-        return None if canonical_face(frags[ia][1] + (size,)) == t else False
+        # and its cycle of sizes, as long as the type, must be a run of it
+        run = frags[ia][1] + (size,)
+        return None if len(run) == len(t) and _embeddings(run, t) else False
     # orient the fragment ending at a to end there, the one at b to
     # start there; a missing one is the bare neighbour
     path_a, sizes_a = frags[ia] if ia != -1 else ((a,), ())
@@ -261,9 +266,13 @@ def _merged(frags: Optional[tuple], a: int, b: int, size: int,
     path_b, sizes_b = frags[ib] if ib != -1 else ((b,), ())
     if path_b[-1] == b:
         path_b, sizes_b = path_b[::-1], sizes_b[::-1]
-    out = tuple(f for i, f in enumerate(frags) if i not in (ia, ib))
-    out += ((path_a + far + path_b, sizes_a + (size,) + sizes_b),)
-    if not _placeable(tuple(sorted(run for _path, run in out)), t):
+    new = (path_a + far + path_b, sizes_a + (size,) + sizes_b)
+    if ia == ib == -1:
+        out = frags + (new,)
+    else:
+        out = tuple([f for j, f in enumerate(frags)
+                     if j != ia and j != ib]) + (new,)
+    if not _placeable(tuple(sorted([run for _path, run in out])), t):
         return False
     return out
 
@@ -328,9 +337,9 @@ class _Searcher:
         with the type ``self.t``: the vertex's fan once ``face`` is
         committed, or False when the corner is refused."""
         p = len(face)
-        far = tuple(face[(i - k) % p] for k in range(2, p - 1))
         return _merged(self.fragments[face[i]], face[i - 1],
-                       face[(i + 1) % p], p, far, self.t)
+                       face[(i + 1) % p], p,
+                       (face[i:] + face[:i])[-2:1:-1], self.t)
 
     def _new_fans(self, face: tuple[int, ...]) -> Optional[list]:
         """The fans of ``face``'s vertices once it is committed, or None
@@ -437,12 +446,12 @@ class _Searcher:
         witness = self.witnesses.get((v, end))
         if witness is not None:
             labels, fans = witness
-            face = tuple(u if u >= 0 else used + ~u for u in labels)
+            face = tuple([u if u >= 0 else used + ~u for u in labels])
             top = max(face)
             if (top < self.n and top < len(fragments)
                     and len(set(face)) == len(face)
                     and self.budgets[len(face)] > 0):
-                now = tuple(fragments[u] for u in face)
+                now = tuple([fragments[u] for u in face])
                 for i, fan in enumerate(now):
                     if fan is not fans[i] and self._corner(face, i) is False:
                         break
@@ -497,12 +506,10 @@ class _Searcher:
         begins, fresh labels taking the least unused: in lexicographic
         order, which the branching follows, or with ``fresh_first`` in
         the reverse order of each position's candidates, which only the
-        forward check asks for.  A method rather than a self-calling
-        closure, so a call leaves no reference cycle behind."""
-        if len(prefix) == size:
-            if self._closes(prefix, size):
-                yield tuple(prefix)
-            return
+        forward check asks for.  The loop that picks the last position's
+        candidates tests each with ``_closes`` itself, with no call of
+        its own.  A method rather than a self-calling closure, so a call
+        leaves no reference cycle behind."""
         cap = min(used_now + 1, self.n)
         cands = range(cap - 1, -1, -1) if fresh_first else range(cap)
         prev, ends = prefix[-1], ()
@@ -527,8 +534,11 @@ class _Searcher:
             if cand in ends and _merged(frags, a, cand, size, (), self.t) is False:
                 continue
             prefix.append(cand)
-            yield from self._faces(prefix, size, max(used_now, cand + 1),
-                                   fresh_first)
+            if len(prefix) < size:
+                yield from self._faces(prefix, size, max(used_now, cand + 1),
+                                       fresh_first)
+            elif self._closes(prefix, size):
+                yield tuple(prefix)
             prefix.pop()
 
     # -- main recursion --

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import re
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -12,6 +13,7 @@ from sematlas.classify import IntPolynomial, canonical_form, find_isomorphism
 from sematlas.core import (
     FaceSeqType,
     PolyhedralMap,
+    canonical_face,
     euler_characteristic,
     is_orientable,
     is_semi_equivelar,
@@ -389,6 +391,52 @@ def test_corner_check_counts_sizes():
     pair = (((1, 2, 3), (3, 3)),)
     assert _merged(pair, 5, 6, 4, (), (3, 3, 4, 3, 4)) is False
     assert _merged(pair, 5, 6, 3, (), (3, 3, 4, 3, 4))
+
+
+CLOSING_TYPES = enumeration.ALL_FLAT_TYPES + tuple(
+    FaceSeqType(sizes) for sizes in
+    ((3, 3, 3, 3, 3, 3), (4, 4, 4, 4), (6, 6, 6), (3, 4, 4, 4)))
+
+
+@pytest.mark.parametrize("t", CLOSING_TYPES, ids=str)
+def test_closing_corner_reads_the_type(t):
+    """A corner that joins the two ends of one fragment closes the fan
+    exactly when the closed cycle of sizes is the type up to rotation
+    and reflection, with ``canonical_face`` as the oracle: over every
+    run of the type's sizes of length deg - 2, deg - 1 and deg, closed
+    by a face of each size, so the closed cycle is one short of the
+    type's length, as long, or one over."""
+    from sematlas.enumeration import _merged
+
+    t = t.sizes
+    deg = len(t)
+    for length in (deg - 2, deg - 1, deg):
+        for run in product(sorted(set(t)), repeat=length):
+            # a link path a, far vertices, neighbour, ..., b for the run
+            path = tuple(range(1, 2 + sum(p - 2 for p in run)))
+            for size in set(t):
+                far = tuple(range(100, 100 + size - 3))
+                want = None if canonical_face(run + (size,)) == t else False
+                got = _merged(((path, run),), path[-1], path[0], size, far, t)
+                assert got is want, (run, size)
+
+
+def test_corner_far_vertices(monkeypatch):
+    """``_corner`` hands ``_merged`` the corner at ``face[i]`` with the
+    face's other vertices in order from ``face[i - 1]`` round to
+    ``face[i + 1]``."""
+    from sematlas.enumeration import _Searcher
+
+    monkeypatch.setattr(enumeration, "_merged",
+                        lambda frags, a, b, size, far, t: (a, b, size, far))
+    for p in range(3, 13):
+        face = tuple(range(10, 10 + p))
+        searcher = _Searcher(FaceSeqType((p,) * 3), 3 * p, None)
+        searcher.fragments = [()] * (10 + p)
+        for i in range(p):
+            assert searcher._corner(face, i) == (
+                face[i - 1], face[(i + 1) % p], p,
+                tuple(face[(i - k) % p] for k in range(2, p - 1)))
 
 
 @pytest.mark.parametrize("t", enumeration.ALL_FLAT_TYPES, ids=str)
