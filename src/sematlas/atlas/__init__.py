@@ -58,8 +58,7 @@ def load_fixture(fixture_id: str) -> PolyhedralMap:
     if fixture_id not in manifest:
         known = ", ".join(sorted(manifest))
         raise UnknownFixture(f"{fixture_id!r}; known ids: {known}")
-    path = _data_root() / f"{fixture_id}.map"
-    return semmap.parse(path.read_text(encoding="utf-8"))
+    return semmap.load(_data_root() / f"{fixture_id}.map")
 
 
 #: ids of the six non-orientable maps and their orientation double covers

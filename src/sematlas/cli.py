@@ -47,14 +47,6 @@ from .export import SvgUnsupported, to_dot, to_svg
 JSON_SCHEMA = "sematlas/1"
 
 
-def _load(path: str):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise OSError(f"cannot read {path}: {exc}") from exc
-    return semmap.parse(text)
-
-
 def _write_text(path, text):
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -64,7 +56,7 @@ def _write_text(path, text):
 
 def cmd_validate(args) -> int:
     try:
-        m = _load(args.path)
+        m = semmap.load(args.path)
     except (InvalidMapError, semmap.SemmapFormatError) as exc:
         print(f"INVALID: {type(exc).__name__}: {exc}")
         return 1
@@ -101,7 +93,7 @@ def _invariant_report(m) -> dict:
 
 def cmd_invariants(args) -> int:
     try:
-        m = _load(args.path)
+        m = semmap.load(args.path)
     except (InvalidMapError, semmap.SemmapFormatError) as exc:
         print(f"INVALID: {type(exc).__name__}: {exc}")
         return 1
@@ -125,7 +117,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_iso(args) -> int:
-    a, b = _load(args.map_a), _load(args.map_b)
+    a, b = semmap.load(args.map_a), semmap.load(args.map_b)
     pin = tuple(args.pin) if args.pin else None
     try:
         iso = find_isomorphism(a, b, pin=pin)
@@ -277,7 +269,7 @@ DERIVE_OPS = {
 
 
 def cmd_derive(args) -> int:
-    m = _load(args.path)
+    m = semmap.load(args.path)
     for op_name in args.ops.split(","):
         op = DERIVE_OPS.get(op_name.strip())
         if op is None:
@@ -288,7 +280,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    m = _load(args.path)
+    m = semmap.load(args.path)
     cover, proj = cons.double_cover(m)
     if not cons.verify_covering(cover, m, proj):
         print("error: built cover failed its own covering check", file=sys.stderr)
@@ -302,7 +294,7 @@ def cmd_cover(args) -> int:
 
 
 def cmd_export(args) -> int:
-    m = _load(args.path)
+    m = semmap.load(args.path)
     if args.format == "svg":
         try:
             text = to_svg(m)

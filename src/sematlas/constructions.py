@@ -10,6 +10,7 @@ and the orientation double cover are intrinsic and work on any valid map.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -258,34 +259,14 @@ def verify_covering(cover: PolyhedralMap, base: PolyhedralMap,
         return False
     if sorted(proj) != list(range(cover.n_vertices)):
         return False
-    fibers: dict[int, list[int]] = {}
-    for w, v in proj.items():
-        if not 0 <= v < base.n_vertices:
-            return False
-        fibers.setdefault(v, []).append(w)
-    if any(len(f) != 2 for f in fibers.values()) or len(fibers) != base.n_vertices:
+    if Counter(proj.values()) != Counter(dict.fromkeys(range(base.n_vertices), 2)):
         return False
-    base_keys = {}
-    for f in base.faces:
-        base_keys[canonical_face(f)] = base_keys.get(canonical_face(f), 0)
-    for f in cover.faces:
-        image = tuple(proj[w] for w in f)
-        if len(set(image)) != len(image):
-            return False
-        key = canonical_face(image)
-        if key not in base_keys:
-            return False
-        base_keys[key] += 1
-    if any(cnt != 2 for cnt in base_keys.values()):
+    # an image with a repeated vertex matches no base face and no base link
+    images = Counter(canonical_face([proj[w] for w in f]) for f in cover.faces)
+    if images != Counter(2 * base.face_keys):
         return False
-    for w in range(cover.n_vertices):
-        lk = cover.link(w)
-        image = tuple(proj[u] for u in lk)
-        if len(set(image)) != len(image):
-            return False
-        if not cyclic_equal(image, base.link(proj[w])):
-            return False
-    return True
+    return all(cyclic_equal([proj[u] for u in cover.link(w)], base.link(proj[w]))
+               for w in range(cover.n_vertices))
 
 
 # -- grid-tagged subdivision operators ---------------------------------------
@@ -395,7 +376,9 @@ def subdivide_layer_diagonals(m: PolyhedralMap) -> PolyhedralMap:
 def subdivide_alternate_diagonals(m: PolyhedralMap) -> PolyhedralMap:
     """Diagonals in a checkerboard half of the quads, no two sharing an edge.
 
-    Needs the torus grid with an even column count AND an even vertical
+    Splits the quads of the torus grid that the ``series`` and ``coords``
+    tags describe, and refuses with NotGridMap any map whose faces are not
+    exactly those quads.  Needs an even column count AND an even vertical
     twist: with an odd twist (the drawn series' -3) the two quad layers
     re-glue so that some subdivided pair meets along the wrap, which is
     why the figure for this series carries a twist of -4.  The three-row
@@ -411,23 +394,22 @@ def subdivide_alternate_diagonals(m: PolyhedralMap) -> PolyhedralMap:
         raise ParityError(
             f"vertical twist {twist} is odd: the checkerboard meets itself "
             f"across the wrap; build the series with an even twist")
-    by_coord = {tuple(rc): v for v, rc in coord.items()}
-    b = lambda j: by_coord[(0, j % n)]
-    mm = lambda j: by_coord[(1, j % n)]
+    grid, grid_coord = _torus_grid(n, twist)
+    by_coord = {rc: v for v, rc in coord.items()}
+    quads = [tuple(by_coord[grid_coord[g]] for g in q) for q in grid]
+    if tuple(sorted(map(canonical_face, quads))) != m.face_keys:
+        raise NotGridMap("faces are not the quads of the grid its tags describe")
     faces = []
-    for j in range(n):
-        # lower-layer quads split at odd j, upper at even j; diagonal
-        # choices follow the drawn pattern
-        if j % 2 == 1:
-            faces.append((b(j), b(j + 1), mm(j)))
-            faces.append((b(j + 1), mm(j + 1), mm(j)))
+    for k, (p, q, r, s) in enumerate(quads):
+        # quad k sits in column k // 2, even k in the lower layer; lower
+        # quads split at odd columns, upper at even, as drawn
+        lower, column = k % 2 == 0, k // 2
+        if lower and column % 2:
+            faces += [(p, q, s), (q, r, s)]
+        elif not lower and not column % 2:
+            faces += [(p, q, r), (p, r, s)]
         else:
-            faces.append((b(j), b(j + 1), mm(j + 1), mm(j)))
-        if j % 2 == 0:
-            faces.append((mm(j), mm(j + 1), b(j + 1 + twist)))
-            faces.append((mm(j), b(j + 1 + twist), b(j + twist)))
-        else:
-            faces.append((mm(j), mm(j + 1), b(j + 1 + twist), b(j + twist)))
+            faces.append((p, q, r, s))
     return validate(faces, m.n_vertices, tags=dict(m.tags))
 
 
@@ -474,29 +456,17 @@ def subdivide_to_3636(m: PolyhedralMap) -> PolyhedralMap:
 
     fresh = iter(range(10 ** 9))
     ov: dict[tuple[tuple[int, int], int], int] = {}
-    for (u, v) in m.edges:
-        if carrier(u, v):
-            e = edge_key(u, v)
-            ov[(e, u)] = next(fresh)
-            ov[(e, v)] = next(fresh)
-    bq: dict[int, int] = {}     # center quad index -> crossing vertex
-    bh: dict[tuple[int, int], int] = {}  # cross edge -> crossing vertex
-    for qi, f in enumerate(oriented):
-        if coloring[qi] == 0:
-            bq[qi] = next(fresh)
-    for (u, v) in m.edges:
-        if not carrier(u, v):
-            fa, fb = m.edge_faces(u, v)
-            if coloring[fa] == 1:
-                bh[edge_key(u, v)] = next(fresh)
-
     # carrier edges of each vertex, for the crossing pairs
     vertex_carriers: dict[int, list[tuple[int, int]]] = {}
-    for (u, v) in m.edges:
-        if carrier(u, v):
-            e = edge_key(u, v)
-            vertex_carriers.setdefault(u, []).append(e)
-            vertex_carriers.setdefault(v, []).append(e)
+    for e in m.edges:
+        if carrier(*e):
+            for p in e:
+                ov[(e, p)] = next(fresh)
+                vertex_carriers.setdefault(p, []).append(e)
+    # center quad index -> crossing vertex; cross edge -> crossing vertex
+    bq = {qi: next(fresh) for qi in range(len(quads)) if coloring[qi] == 0}
+    bh = {e: next(fresh) for e in m.edges
+          if not carrier(*e) and coloring[m.edge_faces(*e)[0]] == 1}
     if any(len(es) != 2 for es in vertex_carriers.values()):
         raise NotGridMap("carrier edges do not pair up at every vertex")
 
@@ -522,7 +492,7 @@ def subdivide_to_3636(m: PolyhedralMap) -> PolyhedralMap:
         if coloring[fa] != 0:
             continue
         hexagon = []
-        for p, first in ((u, fa), (v, fb)):
+        for p in (u, v):
             e1, e2 = vertex_carriers[p]
             q1, q2 = m.edge_faces(*e1), m.edge_faces(*e2)
             # order the pair so the hexagon runs e(in fa), e(in fb), B(fb)...
@@ -549,54 +519,39 @@ def build_3464_from_312sq(m: PolyhedralMap) -> PolyhedralMap:
     replaced by a hexagon."""
     if is_semi_equivelar(m) != FaceSeqType((3, 12, 12)):
         raise NotTruncation("input must be a semi-equivelar (3,12,12) map")
-    triangles = [f for f in m.faces if len(f) == 3]
-    twelves = [f for f in m.faces if len(f) == 12]
-    tri_edges = {e for f in triangles for e in face_edges(f)}
+    tri_edges = {e for f in m.faces if len(f) == 3 for e in face_edges(f)}
 
     fresh = iter(range(m.n_vertices, 10 ** 9))
-    ring: dict[tuple[int, int], int] = {}   # (12-gon index, position) -> id
-    core: dict[tuple[int, int], int] = {}
-    aligned = []
-    for wi, w in enumerate(twelves):
+    faces = [tuple(f) for f in m.faces if len(f) == 3]
+    # (face index of a 12-gon, its vertex) -> the inner ring vertex under it
+    under: dict[tuple[int, int], int] = {}
+    for fi, w in enumerate(m.faces):
+        if len(w) != 12:
+            continue
         # rotate so that (w[0], w[1]) is a triangle edge
         if edge_key(w[0], w[1]) not in tri_edges:
             w = w[1:] + w[:1]
         if edge_key(w[0], w[1]) not in tri_edges:
             raise NotTruncation(f"12-gon {w} has no triangle edge at its start")
-        aligned.append(w)
-        for i in range(12):
-            ring[(wi, i)] = next(fresh)
-        for k in range(6):
-            core[(wi, k)] = next(fresh)
-
-    faces = [tuple(f) for f in triangles]
-    for wi, w in enumerate(aligned):
-        faces.append(tuple(core[(wi, k)] for k in range(6)))
+        ring = [next(fresh) for _ in range(12)]
+        core = [next(fresh) for _ in range(6)]
+        under.update(((fi, v), r) for v, r in zip(w, ring))
+        faces.append(tuple(core))
         for k in range(6):
             i = 2 * k
             # ring edge under a triangle edge: quad outside, triangle inside
-            faces.append((w[i], w[i + 1], ring[(wi, i + 1)], ring[(wi, i)]))
-            faces.append((ring[(wi, i)], ring[(wi, i + 1)], core[(wi, k)]))
+            faces.append((w[i], w[i + 1], ring[i + 1], ring[i]))
+            faces.append((ring[i], ring[i + 1], core[k]))
             # ring edge under an old edge: quad toward the core
-            faces.append((core[(wi, k)], ring[(wi, i + 1)],
-                          ring[(wi, (i + 2) % 12)], core[(wi, (k + 1) % 6)]))
+            faces.append((core[k], ring[i + 1], ring[(i + 2) % 12],
+                          core[(k + 1) % 6]))
     # hexagons replacing each edge shared by two 12-gons
-    position = {}
-    for wi, w in enumerate(aligned):
-        for i, v in enumerate(w):
-            position[(wi, v)] = i
-    face_to_twelve = {}
-    for fi, f in enumerate(m.faces):
-        if len(f) == 12:
-            face_to_twelve[fi] = len(face_to_twelve)
     for (u, v) in m.edges:
         if (u, v) in tri_edges:
             continue
         fa, fb = m.edge_faces(u, v)
-        w1, w2 = face_to_twelve[fa], face_to_twelve[fb]
-        hexagon = (u, ring[(w1, position[(w1, u)])], ring[(w1, position[(w1, v)])],
-                   v, ring[(w2, position[(w2, v)])], ring[(w2, position[(w2, u)])])
-        faces.append(hexagon)
+        faces.append((u, under[(fa, u)], under[(fa, v)],
+                      v, under[(fb, v)], under[(fb, u)]))
     # every old vertex keeps its triangle and every fresh label lands in a
     # face (validate rejects one that does not): the next one is the count
     return validate(faces, next(fresh))

@@ -90,20 +90,13 @@ def face_counts(t: FaceSeqType, n: int) -> Optional[dict[int, int]]:
     or None when the cell (t, n) holds no map.
 
     A vertex of type ``t`` meets mult(p) faces of size p, and a p-gon has
-    p vertices, so count(p) = n * mult(p) / p.  The cell is empty when a
-    count is fractional, when n * deg (twice the edge count) is odd, or
-    when n is below ``star_vertex_bound(t)``.  Flatness is no part of it:
-    the search runs on any type.
+    p vertices, so count(p) = n * mult(p) / p.  The cell is empty when n is
+    below ``star_vertex_bound(t)`` or off the step ``_n_step(t)``.
+    Flatness is no part of it: the search runs on any type.
     """
-    if n < star_vertex_bound(t) or (n * t.degree) % 2:
+    if n < star_vertex_bound(t) or n % _n_step(t):
         return None
-    counts = {}
-    for size in sorted(set(t.sizes)):
-        num = n * t.multiplicity(size)
-        if num % size:
-            return None
-        counts[size] = num // size
-    return counts
+    return {p: n * t.multiplicity(p) // p for p in sorted(set(t.sizes))}
 
 
 def _angle_sum(t: FaceSeqType) -> str:
@@ -120,7 +113,8 @@ def _angle_sum(t: FaceSeqType) -> str:
 
 def _n_step(t: FaceSeqType) -> int:
     """The step of the vertex counts that ``face_counts`` admits: n must
-    make every n * mult(p) / p integral and n * deg even."""
+    make every face count n * mult(p) / p integral and n * deg (twice the
+    edge count) even."""
     steps = [p // math.gcd(p, t.multiplicity(p)) for p in set(t.sizes)]
     return math.lcm(2 // math.gcd(2, t.degree), *steps)
 

@@ -84,7 +84,13 @@ def serialize(m: PolyhedralMap, comment: str = "") -> str:
 
 
 def load(path: Union[str, Path]) -> PolyhedralMap:
-    return parse(Path(path).read_text(encoding="utf-8"))
+    """The map in the semmap file at ``path``; OSError when the file
+    cannot be read or is not UTF-8."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise OSError(f"cannot read {path}: {exc}") from exc
+    return parse(text)
 
 
 def save(m: PolyhedralMap, path: Union[str, Path], comment: str = "") -> None:

@@ -481,6 +481,13 @@ def test_malformed_series_is_not_a_grid_map(tmp_path, capsys, series):
     assert_one_error_line(code, out, err, "NotGridMap")
 
 
+def test_alternating_a_layer_subdivided_grid_is_not_a_grid_map(tmp_path, capsys):
+    _m, path = retagged_grid(tmp_path, twist=-4)
+    code, out, err = run(capsys, "derive", "--ops",
+                         "subdivide-layer,subdivide-alternate", path)
+    assert_one_error_line(code, out, err, "NotGridMap")
+
+
 def test_malformed_coords_or_twist_is_not_a_grid_map(tmp_path, capsys):
     m, path = retagged_grid(tmp_path, coords=5)
     with pytest.raises(NotGridMap):

@@ -1,5 +1,6 @@
 import pytest
 
+from sematlas import semmap
 from sematlas.classify import find_isomorphism, is_vertex_transitive
 from sematlas.constructions import (
     AlreadyOrientable,
@@ -165,6 +166,34 @@ class TestAlternateSubdivision:
     def test_klein_rejected(self):
         with pytest.raises(ParityError):
             subdivide_alternate_diagonals(series("4^4", "klein", 4))
+
+    def test_faces_off_the_tagged_grid_rejected(self):
+        # the layer subdivision keeps the grid tags; its triangles are not
+        # the grid's quads, so the alternation must not rebuild them away
+        layered = subdivide_layer_diagonals(series("4^4", "torus", 8, twist=-4))
+        with pytest.raises(NotGridMap):
+            subdivide_alternate_diagonals(layered)
+
+
+class TestGridOperatorsReadBack:
+    """The grid operators on a grid parsed from its own semmap text."""
+
+    @pytest.mark.parametrize("op, args", [
+        (subdivide_layer_diagonals, ("torus", 7)),
+        (subdivide_layer_diagonals, ("klein", 5)),
+        (subdivide_alternate_diagonals, ("torus", 8, -4)),
+    ])
+    def test_same_text_as_in_memory(self, op, args):
+        grid = series("4^4", *args)
+        parsed = semmap.parse(semmap.serialize(grid))
+        assert semmap.serialize(op(parsed)) == semmap.serialize(op(grid))
+
+    @pytest.mark.parametrize("args", [("torus", 6), ("klein", 4)])
+    def test_3636_isomorphic_to_in_memory(self, args):
+        # its labels follow face order, which parsing changes
+        grid = series("4^4", *args)
+        out = subdivide_to_3636(semmap.parse(semmap.serialize(grid)))
+        assert find_isomorphism(out, subdivide_to_3636(grid)) is not None
 
 
 class TestKagomeSubdivision:

@@ -81,6 +81,15 @@ def test_comment_written_and_ignored(t_1_10, tmp_path):
     assert semmap.load(path) == t_1_10
 
 
+def test_unreadable_file_is_an_os_error(tmp_path):
+    with pytest.raises(OSError, match="cannot read"):
+        semmap.load(tmp_path / "missing.map")
+    bad = tmp_path / "non-utf-8.map"
+    bad.write_bytes(b"\xff\xfe semmap 1\n")
+    with pytest.raises(OSError, match="cannot read"):
+        semmap.load(bad)
+
+
 @pytest.mark.parametrize("tag", ["[1,2]", '"ab"', "5", "null", "true"])
 def test_tag_that_is_not_an_object_is_a_format_error(tag):
     with pytest.raises(semmap.SemmapFormatError):
