@@ -9,8 +9,8 @@ against the exhaustive enumeration.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from ..core import FaceSeqType, PolyhedralMap
 from .. import semmap
@@ -20,8 +20,7 @@ class UnknownFixture(KeyError):
     pass
 
 
-@dataclass(frozen=True)
-class FixtureEntry:
+class FixtureEntry(NamedTuple):
     id: str
     type: FaceSeqType
     surface: str

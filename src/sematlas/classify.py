@@ -18,25 +18,46 @@ tree and cotree, and reads the systole off one breadth-first search per root.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (PolyhedralMap, canonical_face, edge_key, euler_characteristic,
                    flag_walk)
 
 
-@dataclass(frozen=True)
 class Isomorphism:
-    """A vertex bijection sending the face set of one map onto another's."""
+    """A vertex bijection sending the face set of one map onto another's.
+    Immutable; ``iso[v]`` is the image of vertex v."""
 
-    mapping: tuple[int, ...]
+    __slots__ = ("mapping",)
+
+    def __init__(self, mapping: tuple[int, ...]):
+        object.__setattr__(self, "mapping", mapping)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.mapping == other.mapping
+
+    def __hash__(self) -> int:
+        return hash((self.mapping,))
+
+    def __repr__(self) -> str:
+        return f"Isomorphism(mapping={self.mapping!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.mapping,)
 
     def __getitem__(self, v: int) -> int:
         return self.mapping[v]
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Relabeling-invariant serialization; equal bytes certify isomorphism."""
 
     form: bytes
@@ -196,8 +217,7 @@ def is_vertex_transitive(m: PolyhedralMap) -> bool:
 # -- exact characteristic polynomial ----------------------------------------
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(NamedTuple):
     """Integer polynomial; coefficients constant-term first."""
 
     coefficients: tuple[int, ...]

@@ -9,7 +9,6 @@ environment variable caps search nodes for the enumeration commands.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -211,6 +210,8 @@ def _format_report(rows, fmt: str, written) -> str:
             })
         return json.dumps(payload, indent=1, sort_keys=True)
     if fmt == "csv":
+        import csv  # here, not at the top: the import costs start-up time
+
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["type", "n", "total", "orientable", "non_orientable",

@@ -11,8 +11,7 @@ and the orientation double cover are intrinsic and work on any valid map.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .classify import NotFlat
 from .core import (
@@ -62,8 +61,14 @@ FAMILY_ALIASES = {
 }
 
 
-@dataclass(frozen=True)
-class SeriesParams:
+class _SeriesFields(NamedTuple):
+    family: str   # one of 3^6, 4^4, 6^3
+    surface: str  # torus | klein_bottle
+    n: int
+    twist: Optional[int] = None
+
+
+class SeriesParams(_SeriesFields):
     """Parameters of an equivelar grid series.
 
     The figures' torus series start at n = 7 and the Klein series at
@@ -74,25 +79,22 @@ class SeriesParams:
     the alternating subdivision needs an even twist (its figure uses -4).
     """
 
-    family: str   # one of 3^6, 4^4, 6^3
-    surface: str  # torus | klein_bottle
-    n: int
-    twist: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        fam = FAMILY_ALIASES.get(self.family)
+    def __new__(cls, family: str, surface: str, n: int,
+                twist: Optional[int] = None):
+        fam = FAMILY_ALIASES.get(family)
         if fam is None:
-            raise ParamOutOfRange(f"unknown family {self.family!r}")
-        object.__setattr__(self, "family", fam)
-        surface = {"torus": "torus", "klein": "klein_bottle",
-                   "klein_bottle": "klein_bottle"}.get(self.surface)
-        if surface is None:
-            raise ParamOutOfRange(f"unknown surface {self.surface!r}")
-        object.__setattr__(self, "surface", surface)
-        if self.n < 3:
+            raise ParamOutOfRange(f"unknown family {family!r}")
+        surf = {"torus": "torus", "klein": "klein_bottle",
+                "klein_bottle": "klein_bottle"}.get(surface)
+        if surf is None:
+            raise ParamOutOfRange(f"unknown surface {surface!r}")
+        if n < 3:
             raise ParamOutOfRange("series need n >= 3")
-        if self.twist is not None and (surface != "torus" or fam == "6^3"):
+        if twist is not None and (surf != "torus" or fam == "6^3"):
             raise ParamOutOfRange("twist applies to torus grid families only")
+        return super().__new__(cls, fam, surf, n, twist)
 
 
 def equivelar_series(params: SeriesParams) -> PolyhedralMap:

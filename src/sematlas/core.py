@@ -10,7 +10,6 @@ and the whole complex is connected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -92,23 +91,42 @@ def face_edges(face: Sequence[int]) -> list[tuple[int, int]]:
     return [edge_key(face[i], face[(i + 1) % k]) for i in range(k)]
 
 
-@dataclass(frozen=True)
 class FaceSeqType:
     """A cyclic sequence of face sizes around a vertex, e.g. (3,3,3,4,4).
 
     Stored normalized: lexicographically least over all rotations and
-    reflections, so equal types compare equal.
+    reflections, so equal types compare equal.  Immutable.
     """
 
-    sizes: tuple[int, ...]
+    __slots__ = ("sizes",)
 
-    def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+    def __init__(self, sizes: Iterable[int]):
+        sizes = tuple(int(s) for s in sizes)
         if len(sizes) < 3:
             raise ValueError(f"face-sequence needs length >= 3, got {sizes}")
         if any(s < 3 for s in sizes):
             raise ValueError(f"face sizes must be >= 3, got {sizes}")
         object.__setattr__(self, "sizes", canonical_face(sizes))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sizes == other.sizes
+
+    def __hash__(self) -> int:
+        return hash((self.sizes,))
+
+    def __repr__(self) -> str:
+        return f"FaceSeqType(sizes={self.sizes!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.sizes,)
 
     @classmethod
     def parse(cls, text: str) -> "FaceSeqType":
@@ -137,8 +155,7 @@ def cyclic_equal(a: Sequence[int], b: Sequence[int]) -> bool:
     return canonical_face(a) == canonical_face(b)
 
 
-@dataclass(frozen=True)
-class SurfaceId:
+class SurfaceId(NamedTuple):
     euler_characteristic: int
     orientable: bool
     name: str

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import product
 from typing import Optional, Sequence
@@ -306,6 +305,7 @@ class _Searcher:
     """
 
     def __init__(self, t: FaceSeqType, n: int, budget: Optional[int]):
+        self.type = t
         self.t = t.sizes
         self.deg = len(t.sizes)
         self.n = n
@@ -563,7 +563,7 @@ class _Searcher:
             where = f"least open vertex {slot[0]}" if slot else "no open vertex"
             raise BudgetExceeded(
                 f"exceeded {self.budget} search nodes in cell "
-                f"{FaceSeqType(self.t)}, n = {self.n}; reached depth "
+                f"{self.type}, n = {self.n}; reached depth "
                 f"{len(self.faces)} (faces committed) with {where} "
                 f"(set {BUDGET_ENV})")
         if slot is None:
@@ -593,9 +593,9 @@ class _Searcher:
             return
         m = PolyhedralMap(self.n, list(self.faces))
         got = is_semi_equivelar(m)
-        if got != FaceSeqType(self.t):
+        if got != self.type:
             raise SearchInvariantError(
-                f"search emitted a map of type {got}, wanted {FaceSeqType(self.t)}")
+                f"search emitted a map of type {got}, wanted {self.type}")
         bucket = self.buckets.setdefault(edge_graph_char_poly(m).coefficients, [])
         if all(find_isomorphism(m, kept) is None for kept in bucket):
             bucket.append(m)
@@ -643,17 +643,33 @@ def _search_cell(t: FaceSeqType, n: int,
     return searcher.results
 
 
-@dataclass
 class ReportRow:
     """One census cell, its maps one per class; or, with ``n`` 0 and no
     maps, a type the gate rejects for every n, with the reason.  The counts
-    are read off ``maps`` and ``orientations``, so they cannot disagree."""
-    type: FaceSeqType
-    n: int
-    maps: list[PolyhedralMap] = field(repr=False, default_factory=list)
-    #: ``is_orientable`` of each map, in the order of ``maps``
-    orientations: list[bool] = field(repr=False, default_factory=list)
-    infeasible_reason: Optional[str] = None
+    are read off ``maps`` and ``orientations``, so they cannot disagree.
+    ``orientations`` holds ``is_orientable`` of each map, in the order of
+    ``maps``; each row gets its own lists when none are given."""
+
+    __slots__ = ("type", "n", "maps", "orientations", "infeasible_reason")
+
+    def __init__(self, type: FaceSeqType, n: int,
+                 maps: Optional[list[PolyhedralMap]] = None,
+                 orientations: Optional[list[bool]] = None,
+                 infeasible_reason: Optional[str] = None):
+        self.type = type
+        self.n = n
+        self.maps = [] if maps is None else maps
+        self.orientations = [] if orientations is None else orientations
+        self.infeasible_reason = infeasible_reason
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+
+    def __repr__(self) -> str:
+        return (f"ReportRow(type={self.type!r}, n={self.n!r}, "
+                f"infeasible_reason={self.infeasible_reason!r})")
 
     @property
     def total(self) -> int:
