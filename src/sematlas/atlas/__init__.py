@@ -9,7 +9,7 @@ against the exhaustive enumeration.
 from __future__ import annotations
 
 import json
-from importlib import resources
+from pathlib import Path
 from typing import NamedTuple
 
 from ..core import FaceSeqType, PolyhedralMap
@@ -28,8 +28,8 @@ class FixtureEntry(NamedTuple):
     provenance: str
 
 
-def _data_root():
-    return resources.files(__package__) / "data"
+def _data_root() -> Path:
+    return Path(__file__).parent / "data"
 
 
 def _manifest() -> dict:

@@ -3,9 +3,11 @@
 Grid generators produce the equivelar series on the torus (two rows of n
 columns, the vertical wrap shifted by three columns) and the Klein bottle
 (n columns of three vertices each, the horizontal wrap swapping two rows).
-Subdivision operators consume the generators' grid tags; truncation, dual,
-the (3,12,12) -> (3,4,6,4) expansion, the quad-diagonalization to (3^4,6)
-and the orientation double cover are intrinsic and work on any valid map.
+The three grid subdivision operators read one table, the generator's
+quads rebuilt from the map's grid tags, and refuse a map whose faces are
+not those quads.  Truncation, dual, the (3,12,12) -> (3,4,6,4) expansion,
+the quad-diagonalization to (3^4,6) and the orientation double cover are
+intrinsic and work on any valid map.
 """
 
 from __future__ import annotations
@@ -275,10 +277,15 @@ def verify_covering(cover: PolyhedralMap, base: PolyhedralMap,
 
 
 def _grid_info(m: PolyhedralMap):
-    """(surface, n, twist, {vertex: (row, column)}) from a 4^4 series
-    map's tags; NotGridMap when a tag is missing or malformed, or when the
-    coords do not lay out rows 0..R-1 by columns 0..n-1 (R = 2 on the
-    torus, 3 on the Klein bottle)."""
+    """(surface, n, twist, quads) from a 4^4 series map's tags.
+
+    ``quads`` are the quads of ``_torus_grid`` or ``_klein_grid`` written
+    in the map's labels and kept in generator order: in each quad
+    (p, q, r, s) the edges p-q and r-s run along a row, and quad k lies in
+    layer k % R of column k // R (R = 2 rows on the torus, 3 on the Klein
+    bottle).  NotGridMap when a tag is missing or malformed, or when the
+    coords do not lay out rows 0..R-1 by columns 0..n-1; whether the faces
+    are those quads is ``_grid_slots``'s check."""
     series = m.tags.get("series")
     try:
         coord = grid_coords(m)
@@ -303,45 +310,21 @@ def _grid_info(m: PolyhedralMap):
                                           for c in range(n)]):
         raise NotGridMap(f"coords tag does not lay out {rows} rows of "
                          f"{n} columns")
-    return surface, n, twist, coord
+    grid, grid_coord = (_torus_grid(n, twist) if surface == "torus"
+                        else _klein_grid(n))
+    by_coord = {rc: v for v, rc in coord.items()}
+    quads = [tuple(by_coord[grid_coord[g]] for g in q) for q in grid]
+    return surface, n, twist, quads
 
 
-def _edge_is_horizontal(coord, u, v, n) -> bool:
-    cu, cv = coord[u][1], coord[v][1]
-    return (cu - cv) % n in (1, n - 1)
-
-
-def _face_walk(m: PolyhedralMap, rule):
-    """``two_colour`` over the faces of ``m`` across their edges, where
-    ``rule(u, v)`` says what the edge {u, v} does: None, the walk does not
-    cross it; 0, the colour stays; 1, it flips."""
-    def neighbours(fi):
-        for u, v in face_edges(m.faces[fi]):
-            step = rule(u, v)
-            if step is not None:
-                fa, fb = m.edge_faces(u, v)
-                yield (fb if fa == fi else fa), step
-
-    return two_colour(m.n_faces, neighbours)
-
-
-def _oriented_quad(m: PolyhedralMap, coord, n, face):
-    """Corner roles (bl, br, tr, tl) of a grid quad, derived from the
-    coordinate tags so they are independent of the stored rotation."""
-    edges = [(face[i], face[(i + 1) % 4]) for i in range(4)]
-    horizontal = [e for e in edges if _edge_is_horizontal(coord, e[0], e[1], n)]
-    if len(horizontal) != 2:
-        raise NotGridMap("quad does not have two row-direction edges")
-    horizontal.sort(key=lambda e: min(coord[v][0] for v in e))
-    (u, v), _top = horizontal
-    if (coord[u][1] + 1) % n == coord[v][1]:
-        bl, br = u, v
-    else:
-        bl, br = v, u
-    nbrs_in_face = {face[i]: {face[i - 1], face[(i + 1) % 4]} for i in range(4)}
-    tl = next(w for w in nbrs_in_face[bl] if w != br)
-    tr = next(w for w in nbrs_in_face[br] if w != bl)
-    return bl, br, tr, tl
+def _grid_slots(m: PolyhedralMap, quads) -> list[int]:
+    """The index in ``quads`` of each face of ``m``, in stored order;
+    NotGridMap unless the faces are exactly those quads."""
+    slot = {canonical_face(q): k for k, q in enumerate(quads)}
+    slots = [slot.get(canonical_face(f)) for f in m.faces]
+    if len(slots) != len(quads) or None in slots:
+        raise NotGridMap("faces are not the quads of the grid its tags describe")
+    return slots
 
 
 def subdivide_layer_diagonals(m: PolyhedralMap) -> PolyhedralMap:
@@ -353,25 +336,18 @@ def subdivide_layer_diagonals(m: PolyhedralMap) -> PolyhedralMap:
     the three-row Klein series one vertex row never touches a single
     layer, so the output there is a valid map but not semi-equivelar.
     """
-    surface, n, _twist, coord = _grid_info(m)
-    if any(len(f) != 4 for f in m.faces):
-        raise NotGridMap("input must be a quadrangulation")
-    # closed bands of quads glued along their column-direction edges: two
-    # bands of n on the torus grid; on the Klein grid the row flip splices
-    # two of the three layers into one band of 2n, beside a band of n
-    bands, _colour = _face_walk(
-        m, lambda u, v: None if _edge_is_horizontal(coord, u, v, n) else 0)
-    chosen = min(bands, key=lambda b: (
-        len(b), sorted(canonical_face(m.faces[fi]) for fi in b)))
+    surface, _n, _twist, quads = _grid_info(m)
+    # layer 0 of the torus grid; on the Klein grid the row flip splices
+    # layers 0 and 2 into one band of 2n quads, and layer 1 is the band of n
+    rows, layer = (2, 0) if surface == "torus" else (3, 1)
     faces = []
-    in_layer = set(chosen)
-    for fi, face in enumerate(m.faces):
-        if fi not in in_layer:
+    for face, k in zip(m.faces, _grid_slots(m, quads)):
+        if k % rows != layer:
             faces.append(face)
             continue
-        bl, br, tr, tl = _oriented_quad(m, coord, n, face)
-        faces.append((bl, br, tl))
-        faces.append((br, tr, tl))
+        p, q, r, s = quads[k]
+        faces.append((p, q, s))
+        faces.append((q, r, s))
     return validate(faces, m.n_vertices, tags=dict(m.tags))
 
 
@@ -386,7 +362,7 @@ def subdivide_alternate_diagonals(m: PolyhedralMap) -> PolyhedralMap:
     why the figure for this series carries a twist of -4.  The three-row
     Klein grid has an odd quad cycle along each column; no pattern exists.
     """
-    surface, n, twist, coord = _grid_info(m)
+    surface, n, twist, quads = _grid_info(m)
     if surface != "torus":
         raise ParityError(
             "three stacked quad layers admit no alternating pattern")
@@ -396,11 +372,7 @@ def subdivide_alternate_diagonals(m: PolyhedralMap) -> PolyhedralMap:
         raise ParityError(
             f"vertical twist {twist} is odd: the checkerboard meets itself "
             f"across the wrap; build the series with an even twist")
-    grid, grid_coord = _torus_grid(n, twist)
-    by_coord = {rc: v for v, rc in coord.items()}
-    quads = [tuple(by_coord[grid_coord[g]] for g in q) for q in grid]
-    if tuple(sorted(map(canonical_face, quads))) != m.face_keys:
-        raise NotGridMap("faces are not the quads of the grid its tags describe")
+    _grid_slots(m, quads)
     faces = []
     for k, (p, q, r, s) in enumerate(quads):
         # quad k sits in column k // 2, even k in the lower layer; lower
@@ -425,36 +397,27 @@ def subdivide_to_3636(m: PolyhedralMap) -> PolyhedralMap:
     per surface (rows on the torus, columns on the Klein bottle with an
     even column count).
     """
-    surface, n, _twist, coord = _grid_info(m)
-    quads = list(m.faces)
-    if any(len(f) != 4 for f in quads):
-        raise NotGridMap("input must be a quadrangulation")
-
-    # 2-colour the quads: equal across cross edges, opposite across
-    # carrier edges
-    for horizontal_carriers in (True, False):
-        walk = _face_walk(m, lambda u, v: int(
-            _edge_is_horizontal(coord, u, v, n) == horizontal_carriers))
-        if walk is not None:
-            coloring = walk[1]
-            break
-    else:
+    surface, n, _twist, quads = _grid_info(m)
+    slots = _grid_slots(m, quads)
+    torus = surface == "torus"
+    # the classes agree across cross edges and differ across carrier edges:
+    # on the torus the class is the layer; the Klein grid's three layers
+    # close an odd cycle up each column, so there the columns alternate,
+    # which the wrap from column n - 1 back to column 0 allows for even n
+    if not torus and n % 2:
         raise ParityError("no carrier direction admits an alternating "
                           "center/edge quad coloring")
+    classes = [k % 2 if torus else k // 3 % 2 for k in slots]
+    # the first stored face is a center quad
+    coloring = [c ^ classes[0] for c in classes]
+    carriers = {edge_key(*e) for p, q, r, s in quads
+                for e in (((p, q), (r, s)) if torus else ((q, r), (s, p)))}
 
     def carrier(u, v):
-        return _edge_is_horizontal(coord, u, v, n) == horizontal_carriers
+        return edge_key(u, v) in carriers
 
     # orient each quad (c1L, c2L, c2R, c1R): carrier edges (c1L,c2L),(c1R,c2R)
-    oriented = []
-    for f in quads:
-        if carrier(f[0], f[1]):
-            c1l, c2l, c2r, c1r = f[0], f[1], f[2], f[3]
-        else:
-            c1l, c2l, c2r, c1r = f[1], f[2], f[3], f[0]
-        if not (carrier(c1l, c2l) and carrier(c1r, c2r)):
-            raise NotGridMap(f"quad {f} has no pair of opposite carrier edges")
-        oriented.append((c1l, c2l, c2r, c1r))
+    oriented = [f if carrier(f[0], f[1]) else f[1:] + f[:1] for f in m.faces]
 
     fresh = iter(range(10 ** 9))
     ov: dict[tuple[tuple[int, int], int], int] = {}
@@ -466,11 +429,9 @@ def subdivide_to_3636(m: PolyhedralMap) -> PolyhedralMap:
                 ov[(e, p)] = next(fresh)
                 vertex_carriers.setdefault(p, []).append(e)
     # center quad index -> crossing vertex; cross edge -> crossing vertex
-    bq = {qi: next(fresh) for qi in range(len(quads)) if coloring[qi] == 0}
+    bq = {qi: next(fresh) for qi in range(m.n_faces) if coloring[qi] == 0}
     bh = {e: next(fresh) for e in m.edges
           if not carrier(*e) and coloring[m.edge_faces(*e)[0]] == 1}
-    if any(len(es) != 2 for es in vertex_carriers.values()):
-        raise NotGridMap("carrier edges do not pair up at every vertex")
 
     faces = []
     for qi, (c1l, c2l, c2r, c1r) in enumerate(oriented):

@@ -23,6 +23,7 @@ from sematlas.constructions import (
 )
 from sematlas.core import (
     FaceSeqType,
+    PolyhedralMap,
     euler_characteristic,
     is_orientable,
     is_semi_equivelar,
@@ -173,6 +174,27 @@ class TestAlternateSubdivision:
         layered = subdivide_layer_diagonals(series("4^4", "torus", 8, twist=-4))
         with pytest.raises(NotGridMap):
             subdivide_alternate_diagonals(layered)
+
+
+class TestGridTags:
+    @pytest.mark.parametrize("op", [subdivide_layer_diagonals,
+                                    subdivide_to_3636])
+    def test_faces_off_the_tagged_twist_rejected(self, op):
+        # the coords still lay out the grid, but a twist of -6 glues the
+        # wrap quads to other vertices than the stored faces have
+        grid = series("4^4", "torus", 8, twist=-4)
+        tags = dict(grid.tags, series=dict(grid.tags["series"], twist=-6))
+        with pytest.raises(NotGridMap):
+            op(PolyhedralMap(grid.n_vertices, grid.faces, tags=tags))
+
+    def test_layer_diagonals_ignore_the_stored_rotation(self):
+        # both row edges of the Klein grid's wrap quad in the split layer
+        # join rows 1 and 2; its diagonal follows the generator's quad
+        grid = series("4^4", "klein", 5)
+        turned = PolyhedralMap(grid.n_vertices,
+                               [f[2:] + f[:2] for f in grid.faces],
+                               tags=grid.tags)
+        assert subdivide_layer_diagonals(turned) == subdivide_layer_diagonals(grid)
 
 
 class TestGridOperatorsReadBack:

@@ -128,3 +128,54 @@ def test_3464_operator_outputs_are_pinned():
             rec = out if isinstance(out, str) else semmap.serialize(out) + repr(out.faces)
             h.update(f"{name} {rec}\n".encode())
     assert h.hexdigest() == OPS_3464_SHA256
+
+
+GRID_OPERATORS = (constructions.subdivide_layer_diagonals,
+                  constructions.subdivide_alternate_diagonals,
+                  constructions.subdivide_to_3636)
+
+
+def _grids():
+    """(params, map) for every 4^4 series build that succeeds."""
+    for params in _series():
+        if params.family == "4^4":
+            grid = _outcome(equivelar_series, params)
+            if not isinstance(grid, str):
+                yield params, grid
+
+
+def _rec(m):
+    return m if isinstance(m, str) else semmap.serialize(m) + repr(m.faces)
+
+
+READ_BACK_SHA256 = "3947cc10153b479d7937f0fd5fab0279ccca75ba4fee31eece3001d45cc12505"
+
+
+def test_grid_operators_on_read_back_maps_are_pinned():
+    # semmap text stores the faces sorted and in canonical rotation, so the
+    # operators must not depend on the generator's face order or rotation
+    h = hashlib.sha256()
+    for params, grid in _grids():
+        read_back = semmap.parse(semmap.serialize(grid))
+        for op in GRID_OPERATORS:
+            h.update(f"{params} {_rec(_outcome(op, read_back))}\n".encode())
+    assert h.hexdigest() == READ_BACK_SHA256
+
+
+CHAINS_SHA256 = "fbe187c93ba7a960292c8a9bcd97c259a80796fb085d8b6c75d127b31bfe1a8f"
+
+
+def test_grid_operator_chains_are_pinned():
+    # the layer and alternate subdivisions keep the input's tags, so a
+    # second grid operator may accept or refuse their output
+    h = hashlib.sha256()
+    for params, grid in _grids():
+        for first in GRID_OPERATORS:
+            out = _outcome(first, grid)
+            if isinstance(out, str):
+                continue
+            for second in GRID_OPERATORS:
+                rec = _rec(_outcome(second, out))
+                h.update(f"{params} {first.__name__} {second.__name__} "
+                         f"{rec}\n".encode())
+    assert h.hexdigest() == CHAINS_SHA256

@@ -119,10 +119,12 @@ def test_report_row_contract(t_1_10, k_1_10):
 
 def test_import_loads_no_heavy_stdlib_module():
     """``import sematlas`` pays only for what every command needs; csv and
-    multiprocessing load where they are used.  ``-S`` keeps site hooks
-    out of the check."""
+    multiprocessing load where they are used, and the atlas finds its data
+    beside its own file rather than through importlib.resources.  ``-S``
+    keeps site hooks out of the check."""
     src = Path(sematlas.__file__).resolve().parents[1]
-    heavy = ("dataclasses", "inspect", "csv", "multiprocessing")
+    heavy = ("dataclasses", "inspect", "csv", "multiprocessing",
+             "importlib.resources", "tempfile")
     code = ("import sematlas, sematlas.cli, sys; "
             f"print(*(m for m in {heavy!r} if m in sys.modules))")
     done = subprocess.run([sys.executable, "-S", "-c", code],
