@@ -39,6 +39,7 @@ from .enumeration import (
     SearchTooDeep,
     classify_all,
     enumerate_sems,
+    usable_cpus,
 )
 from . import constructions as cons
 from .export import SvgUnsupported, to_dot, to_svg
@@ -385,7 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="semicolon-separated expanded types, or 'all'")
     p.add_argument("--out")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--jobs", type=_natural_arg, default=1)
+    p.add_argument("--jobs", type=_natural_arg, default=usable_cpus(),
+                   help="processes to search the cells in (default: one "
+                        "per usable CPU); capped at the usable CPUs and at "
+                        "the cells")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("construct", help="equivelar grid series")

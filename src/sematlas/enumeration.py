@@ -699,6 +699,14 @@ def _cell_row(cell: tuple[FaceSeqType, int], budget: Optional[int]) -> ReportRow
     return ReportRow(t, n, maps, [is_orientable(m) for m in maps])
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the CPU count, else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def classify_all(n_max: int, types: Optional[Sequence[FaceSeqType]] = None,
                  jobs: int = 1) -> list[ReportRow]:
     """Classification table over the given types for all feasible n <= n_max.
@@ -708,16 +716,20 @@ def classify_all(n_max: int, types: Optional[Sequence[FaceSeqType]] = None,
     SEM_ATLAS_BUDGET is read once, before any cell is searched.  The cells
     are searched as the gate yields them, so a budget ends even a census
     with a huge ``n_max`` at its first cell that exhausts it.  ``jobs > 1``
-    searches them in that many processes, at most one per CPU; the rows,
-    and the error a failing cell raises (the first in census order), are
-    the same either way.
+    searches them in a pool of ``jobs`` processes, capped at the usable
+    CPUs (``usable_cpus``) and at the cells; where the cap leaves one, no
+    process starts.  The rows, and the error a failing cell raises (the
+    first in census order), are the same either way.
     """
-    types = dict.fromkeys(types if types is not None else ALL_FLAT_TYPES)
+    gates = {t: min_vertices_gate(t, n_max)
+             for t in (types if types is not None else ALL_FLAT_TYPES)}
     rows = [ReportRow(t, 0, infeasible_reason=gate_reason(t, n_max))
-            for t in types if not min_vertices_gate(t, n_max)]
-    cells = ((t, n) for t in types for n in min_vertices_gate(t, n_max))
+            for t, ns in gates.items() if not ns]
+    cells = ((t, n) for t, ns in gates.items() for n in ns)
     row = partial(_cell_row, budget=_env_budget())
-    procs = min(jobs, os.cpu_count() or 1)
+    procs = min(jobs, usable_cpus())
+    # each range is sliced before ``len``, which overflows past sys.maxsize
+    procs = min(procs, sum(len(ns[:procs]) for ns in gates.values()))
     if procs > 1:
         import multiprocessing  # here, not at the top: the import costs start-up time
 

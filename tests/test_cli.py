@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from sematlas import enumeration, semmap
-from sematlas.cli import main
+from sematlas.cli import build_parser, main
 from sematlas.constructions import (
     NotGridMap,
     SeriesParams,
@@ -99,6 +99,28 @@ def test_classify_text_and_determinism(tmp_path, capsys):
     blob_a = {p.name: p.read_bytes() for p in (tmp_path / "a").glob("*")}
     blob_b = {p.name: p.read_bytes() for p in (tmp_path / "b").glob("*")}
     assert blob_a == blob_b
+
+
+def test_classify_default_jobs_is_byte_identical(tmp_path, capsys):
+    """Without --jobs the census runs one process per usable CPU, and
+    prints and writes the same bytes as in one process."""
+    got = []
+    for sub, jobs in (("one", ["--jobs", "1"]), ("default", [])):
+        code, out, err = run(capsys, "classify", "--max-vertices", "16",
+                             "--types", "all", "--format", "json",
+                             "--out", str(tmp_path / sub), *jobs)
+        assert code == 0 and err == ""
+        got.append((out, {p.name: p.read_bytes()
+                          for p in sorted((tmp_path / sub).glob("*"))}))
+    assert got[0] == got[1]
+    assert got[0][1]
+
+
+def test_classify_jobs_default_is_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7},
+                        raising=False)
+    args = build_parser().parse_args(["classify", "--max-vertices", "8"])
+    assert args.jobs == 3
 
 
 def test_classify_names_a_repeated_type_once(capsys):
@@ -257,24 +279,27 @@ def test_hostile_n_is_a_domain_failure(capsys, monkeypatch, budget, error):
                                          ("300", "(3,3,3,4,4), n = 16")])
 def test_budget_failure_is_the_same_with_jobs(capsys, monkeypatch, budget, cell):
     """The census reports the first cell in census order that runs out,
-    with its type and n, however many processes search it."""
+    with its type and n, however many processes search it, also with the
+    default of one per usable CPU."""
     monkeypatch.setenv("SEM_ATLAS_BUDGET", budget)
-    got = [run(capsys, "classify", "--max-vertices", "20", "--jobs", jobs)
-           for jobs in ("1", "2")]
-    assert got[0] == got[1]
+    got = [run(capsys, "classify", "--max-vertices", "20", *jobs)
+           for jobs in (["--jobs", "1"], ["--jobs", "2"], [])]
+    assert got[0] == got[1] == got[2]
     code, out, err = got[0]
     assert code == 1 and out == ""
     assert err.startswith(f"error: BudgetExceeded: exceeded {budget} search "
                           f"nodes in cell {cell};")
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("jobs", ["1", "2", None])
 def test_hostile_max_vertices_stops_at_the_budget(jobs):
     """A huge --max-vertices costs nothing before the first search: the
     census searches its cells as the gate yields them, also in a pool, so
     a node budget ends it at the first cell that exhausts it, with the
     error that a census to 20 vertices gives under the same budget.  Run
-    as a subprocess, so a census that never stops fails on its timeout."""
+    as a subprocess, so a census that never stops fails on its timeout.
+    ``None`` runs without --jobs, so with its default."""
+    jobs_args = [] if jobs is None else ["--jobs", jobs]
     src = Path(enumeration.__file__).resolve().parents[1]
     env = {**os.environ, "SEM_ATLAS_BUDGET": "10",
            "PYTHONPATH": os.pathsep.join(
@@ -284,7 +309,7 @@ def test_hostile_max_vertices_stops_at_the_budget(jobs):
         start = time.monotonic()
         done = subprocess.run(
             [sys.executable, "-m", "sematlas.cli", "classify",
-             "--max-vertices", n_max, "--jobs", jobs], env=env,
+             "--max-vertices", n_max, *jobs_args], env=env,
             capture_output=True, text=True, timeout=60)
         assert time.monotonic() - start < 30
         got.append((done.returncode, done.stdout, done.stderr))
@@ -402,7 +427,7 @@ def test_classify_out_tests_each_map_orientable_once(tmp_path, capsys, monkeypat
     for module in (enumeration, cli):
         monkeypatch.setattr(module, "is_orientable", counting)
     code, _, _ = run(capsys, "classify", "--max-vertices", "14",
-                     "--out", str(tmp_path))
+                     "--out", str(tmp_path), "--jobs", "1")
     assert code == 0
     names = sorted(p.name for p in tmp_path.glob("*.map"))
     assert len(names) == len(calls) == 11

@@ -709,13 +709,10 @@ class TestClassifyAll:
                                         FaceSeqType((3, 12, 12))]))
         assert twice == once
 
-    @pytest.mark.parametrize("cpus,pools", [(None, []), (1, []), (3, [3])])
-    def test_jobs_are_capped_at_the_cpu_count(self, monkeypatch, cpus, pools):
-        """A huge ``jobs`` asks for one worker per CPU, and none when there
-        is one CPU or the count is unknown; the rows are those of one
-        process.  The pool is a fake that maps in this process, so the
-        test starts no process."""
-        want = classify_all(12, [T334])
+    @pytest.fixture
+    def requested(self, monkeypatch):
+        """The worker counts that ``classify_all`` asks pools for.  Each
+        pool is a fake that maps in this process, so no process starts."""
         requested = []
 
         class FakePool:
@@ -732,15 +729,57 @@ class TestClassifyAll:
                 return map(func, iterable)
 
         monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        return requested
+
+    @staticmethod
+    def table(rows):
+        return [(r.type, r.n, r.orientations, [serialize(m) for m in r.maps])
+                for r in rows]
+
+    @pytest.mark.parametrize("cpus,pools", [(None, []), (1, []), (3, [3]),
+                                            (4, [3])])
+    def test_jobs_are_capped_at_the_cpu_count(self, monkeypatch, requested,
+                                              cpus, pools):
+        """A huge ``jobs`` asks for one worker per usable CPU, never more
+        than the census's cells (three here), and none when that leaves one
+        or the count is unknown; the rows are those of one process.  The
+        usable CPUs are those of the affinity mask, whatever the CPU count;
+        without a mask, the CPU count."""
+        want = self.table(classify_all(12, [T334]))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        got = classify_all(12, [T334], jobs=10**12)
-        assert requested == pools
+        got = [classify_all(12, [T334], jobs=10**12)]
+        if cpus is not None:
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)), raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 64)
+            got.append(classify_all(12, [T334], jobs=10**12))
+        assert requested == pools * len(got)
+        assert [self.table(rows) for rows in got] == [want] * len(got)
 
-        def table(rows):
-            return [(r.type, r.n, r.orientations, [serialize(m) for m in r.maps])
-                    for r in rows]
+    def test_a_census_of_one_cell_asks_for_no_pool(self, monkeypatch, requested):
+        """However many CPUs, one cell is searched in this process; a type
+        the gate rejects is no cell."""
+        types = [T334, FaceSeqType((3, 12, 12))]
+        want = self.table(classify_all(8, types))
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(64)), raising=False)
+        got = classify_all(8, types, jobs=10**12)
+        assert requested == []
+        assert [(r.type, r.n) for r in got] == [
+            (T334, 8), (FaceSeqType((3, 12, 12)), 0)]
+        assert self.table(got) == want
 
-        assert table(got) == table(want)
+    def test_no_worker_outlives_the_census(self, monkeypatch):
+        """A census in a pool leaves no worker process running, whether it
+        ends with its rows or with a cell's ``BudgetExceeded``."""
+        monkeypatch.delenv(enumeration.BUDGET_ENV, raising=False)
+        assert [r.n for r in classify_all(12, [T334], jobs=2)] == [8, 10, 12]
+        assert multiprocessing.active_children() == []
+        monkeypatch.setenv(enumeration.BUDGET_ENV, "50")
+        with pytest.raises(BudgetExceeded):
+            classify_all(12, [T334], jobs=2)
+        assert multiprocessing.active_children() == []
 
     def test_the_budget_variable_is_read_once(self, monkeypatch):
         """SEM_ATLAS_BUDGET is read once per census, before any cell is
