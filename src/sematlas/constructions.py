@@ -1,18 +1,24 @@
 """Infinite families at Euler characteristic 0 and the operators between them.
 
-Grid generators produce the equivelar series on the torus (two rows of n
-columns, the vertical wrap shifted by three columns) and the Klein bottle
-(n columns of three vertices each, the horizontal wrap swapping two rows).
-The three grid subdivision operators read one table, the generator's
-quads rebuilt from the map's grid tags, and refuse a map whose faces are
-not those quads.  Truncation, dual, the (3,12,12) -> (3,4,6,4) expansion,
-the quad-diagonalization to (3^4,6) and the orientation double cover are
+Every grid series is a quotient of a regular plane tiling.  ``_CELLS``
+gives, per family and surface, one translation cell: k vertex classes, R
+rows and the cell's faces as (class, dx, dy) offsets.  The map has R rows
+of n cells.  On the torus, row R re-enters row 0 shifted by the twist
+columns; on the Klein bottle, column n re-enters column 0 with the rows
+reflected.  The 4^4 and 3^6 cells have one class (two rows on the torus,
+three on the Klein bottle); the 6^3 torus cell has two classes in one row
+and a fixed shift of -2; the 6^3 Klein series is the dual of the 3^6 Klein
+grid.  The three grid subdivision operators read one table, the 4^4 quads
+rebuilt from the map's grid tags, and refuse a map whose faces are not
+those quads.  Truncation, dual, the (3,12,12) -> (3,4,6,4) expansion, the
+quad-diagonalization to (3^4,6) and the orientation double cover are
 intrinsic and work on any valid map.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import count
 from typing import NamedTuple, Optional
 
 from .classify import NotFlat
@@ -100,98 +106,73 @@ class SeriesParams(_SeriesFields):
 
 
 def equivelar_series(params: SeriesParams) -> PolyhedralMap:
-    """The equivelar map of the requested family, surface and size."""
+    """The equivelar map of the requested family, surface and size: the
+    quotient of the family's cell, except 6^3 on the Klein bottle, which
+    is the dual of the 3^6 Klein grid."""
     fam, surf, n = params.family, params.surface, params.n
-    try:
-        if fam == "6^3":
-            return _torus_63(n) if surf == "torus" else _klein_63(n)
-        twist = params.twist
-        if surf == "torus" and twist is None:
+    series = {"family": fam, "surface": surf, "n": n}
+    twist = params.twist
+    if fam == "6^3":
+        twist = -2  # the 6^3 torus cell's fixed shift, which no tag records
+    elif surf == "torus":
+        if twist is None:
             twist = -3
-        return _grid_series(fam, surf, n, twist)
+        series["twist"] = twist
+    cell = "3^6" if (fam, surf) == ("6^3", "klein_bottle") else fam
+    k, rows, _ = _CELLS[cell, surf]
+    size = k * n * rows
+    faces = _quotient_faces(cell, surf, n, twist)
+    try:
+        if cell != fam:
+            grid = validate(faces, size)
+            # dual(grid), validated once with its tag
+            return validate([grid.fan(v) for v in range(size)],
+                            grid.n_faces, tags={"series": series})
+        coords = {str(v): list(divmod(v, k * n)) for v in range(size)}
+        return validate(faces, size, tags={"series": series, "coords": coords})
     except ValueError as exc:
-        if isinstance(exc, ParamOutOfRange):
-            raise
         raise ParamOutOfRange(
             f"{fam} on {surf} with n={n} does not close up: {exc}") from exc
 
 
-def _series_tags(family: str, surface: str, n: int, coords: dict,
-                 twist: Optional[int] = None) -> dict:
-    series = {"family": family, "surface": surface, "n": n}
-    if twist is not None:
-        series["twist"] = twist
-    return {
-        "series": series,
-        "coords": {str(v): list(rc) for v, rc in coords.items()},
-    }
+#: One translation cell of each grid series' plane tiling, as (k vertex
+#: classes, R rows, the cell's faces as (class, dx, dy) offsets).  The
+#: 4^4 cell is one quad (p, q, r, s) whose edges p-q and r-s run along a
+#: row; 3^6 splits it along the diagonal from p on the torus and from q
+#: on the Klein bottle; 6^3 is one hexagon on two classes in one row.
+_QUAD = ((0, 0, 0), (0, 1, 0), (0, 1, 1), (0, 0, 1))
+_CELLS = {
+    ("4^4", "torus"): (1, 2, [_QUAD]),
+    ("4^4", "klein_bottle"): (1, 3, [_QUAD]),
+    ("3^6", "torus"): (1, 2, [((0, 0, 0), (0, 1, 0), (0, 1, 1)),
+                              ((0, 0, 0), (0, 1, 1), (0, 0, 1))]),
+    ("3^6", "klein_bottle"): (1, 3, [((0, 0, 0), (0, 1, 0), (0, 0, 1)),
+                                     ((0, 1, 0), (0, 1, 1), (0, 0, 1))]),
+    ("6^3", "torus"): (2, 1, [((0, 0, 0), (1, 0, 0), (0, 1, 0),
+                               (1, 0, 1), (0, 0, 1), (1, -1, 1))]),
+}
 
 
-def _torus_grid(n: int, twist: int):
-    # row 0: b_j = j; row 1: m_j = n + j; the vertical wrap re-enters
-    # row 0 shifted by ``twist`` columns
-    b = lambda j: j % n
-    m = lambda j: n + (j % n)
-    quads = []
-    for j in range(n):
-        quads.append((b(j), b(j + 1), m(j + 1), m(j)))
-        quads.append((m(j), m(j + 1), b(j + 1 + twist), b(j + twist)))
-    coords = {b(j): (0, j) for j in range(n)}
-    coords.update({m(j): (1, j) for j in range(n)})
-    return quads, coords
+def _quotient_faces(family: str, surface: str, n: int,
+                    twist: Optional[int]) -> list[tuple[int, ...]]:
+    """The faces of R rows of n copies of ``family``'s cell: column by
+    column, then row by row, then in the cell's face order.  Vertex
+    (c, x, y) is c + k * (x mod n + n * (y mod R)) once the surface's wrap
+    applies: on the torus row R re-enters row 0 shifted by ``twist``
+    columns; on the Klein bottle column n re-enters column 0 with the
+    rows reflected, y -> -y."""
+    k, rows, cell = _CELLS[family, surface]
 
+    def label(c, x, y):
+        if surface == "torus":
+            q, y = divmod(y, rows)
+            x += q * twist
+        elif x // n % 2:
+            y = -y
+        return c + k * (x % n + n * (y % rows))
 
-def _torus_63(n: int) -> PolyhedralMap:
-    # cycle 0..2n-1 plus chords i ~ i-5 at even i; one hexagon per chord pair
-    N = 2 * n
-    faces = []
-    for i in range(0, N, 2):
-        faces.append((i, (i + 1) % N, (i + 2) % N,
-                      (i - 3) % N, (i - 4) % N, (i - 5) % N))
-    coords = {v: (0, v) for v in range(N)}
-    return validate(faces, N, tags=_series_tags("6^3", "torus", n, coords))
-
-
-def _klein_grid(n: int):
-    a = lambda j: j % n
-    b = lambda j: n + (j % n)
-    c = lambda j: 2 * n + (j % n)
-    quads = []
-    for j in range(n - 1):
-        quads.append((a(j), a(j + 1), b(j + 1), b(j)))
-        quads.append((b(j), b(j + 1), c(j + 1), c(j)))
-        quads.append((c(j), c(j + 1), a(j + 1), a(j)))
-    # the horizontal wrap swaps the two upper rows (orientation reversal)
-    quads.append((a(n - 1), a(0), c(0), b(n - 1)))
-    quads.append((b(n - 1), c(0), b(0), c(n - 1)))
-    quads.append((c(n - 1), b(0), a(0), a(n - 1)))
-    coords = {a(j): (0, j) for j in range(n)}
-    coords.update({b(j): (1, j) for j in range(n)})
-    coords.update({c(j): (2, j) for j in range(n)})
-    return quads, coords
-
-
-def _grid_series(family: str, surface: str, n: int,
-                 twist: Optional[int] = None) -> PolyhedralMap:
-    """The 4^4 grid of quads (p, q, r, s), lower edge p-q, on the torus
-    or the Klein bottle; for 3^6 each quad splits along its diagonal from
-    p on the torus and from q on the Klein bottle."""
-    torus = surface == "torus"
-    quads, coords = _torus_grid(n, twist) if torus else _klein_grid(n)
-    faces = quads
-    if family == "3^6":
-        faces = [f for p, q, r, s in quads
-                 for f in (((p, q, r), (p, r, s)) if torus
-                           else ((p, q, s), (q, r, s)))]
-    return validate(faces, len(coords),
-                    tags=_series_tags(family, surface, n, coords, twist))
-
-
-def _klein_63(n: int) -> PolyhedralMap:
-    m = dual(_grid_series("3^6", "klein_bottle", n))
-    tags = dict(m.tags)
-    tags["series"] = {"family": "6^3", "surface": "klein_bottle", "n": n}
-    return PolyhedralMap(m.n_vertices, m.faces, tags=tags)
+    return [tuple(label(c, x + dx, y + dy) for c, dx, dy in face)
+            for x in range(n) for y in range(rows) for face in cell]
 
 
 # -- intrinsic operators ------------------------------------------------------
@@ -206,12 +187,13 @@ def dual(m: PolyhedralMap) -> PolyhedralMap:
 def truncate(m: PolyhedralMap) -> PolyhedralMap:
     """Cut every vertex: one new vertex per (vertex, incident edge) pair."""
     ids: dict[tuple[int, int], int] = {}
-    for v in range(m.n_vertices):
-        for u in m.link(v):
-            ids[(v, u)] = len(ids)
     faces = []
     for v in range(m.n_vertices):
-        faces.append(tuple(ids[(v, u)] for u in m.link(v)))
+        start = len(ids)
+        for u in m.link(v):
+            ids[(v, u)] = len(ids)
+        # v's face is the run of ids just assigned, in link order
+        faces.append(tuple(range(start, len(ids))))
     for face in m.faces:
         p = len(face)
         new = []
@@ -277,15 +259,15 @@ def verify_covering(cover: PolyhedralMap, base: PolyhedralMap,
 
 
 def _grid_info(m: PolyhedralMap):
-    """(surface, n, twist, quads) from a 4^4 series map's tags.
+    """(surface, n, twist, R, quads) from a 4^4 series map's tags.
 
-    ``quads`` are the quads of ``_torus_grid`` or ``_klein_grid`` written
-    in the map's labels and kept in generator order: in each quad
+    ``quads`` are the faces of ``_quotient_faces`` for the 4^4 cell,
+    written in the map's labels and kept in their order: in each quad
     (p, q, r, s) the edges p-q and r-s run along a row, and quad k lies in
-    layer k % R of column k // R (R = 2 rows on the torus, 3 on the Klein
-    bottle).  NotGridMap when a tag is missing or malformed, or when the
-    coords do not lay out rows 0..R-1 by columns 0..n-1; whether the faces
-    are those quads is ``_grid_slots``'s check."""
+    layer k % R of column k // R (R rows, 2 on the torus and 3 on the
+    Klein bottle).  NotGridMap when a tag is missing or malformed, or when
+    the coords do not lay out rows 0..R-1 by columns 0..n-1; whether the
+    faces are those quads is ``_grid_slots``'s check."""
     series = m.tags.get("series")
     try:
         coord = grid_coords(m)
@@ -303,18 +285,17 @@ def _grid_info(m: PolyhedralMap):
     twist = series.get("twist", -3)
     if type(twist) is not int:
         raise NotGridMap(f"series tag has no integer twist: {twist!r}")
-    rows = 2 if surface == "torus" else 3
+    rows = _CELLS["4^4", surface][1]
     # the vertex count bounds n before the layout is built from it
     if (rows * n != m.n_vertices
             or sorted(coord.values()) != [(r, c) for r in range(rows)
                                           for c in range(n)]):
         raise NotGridMap(f"coords tag does not lay out {rows} rows of "
                          f"{n} columns")
-    grid, grid_coord = (_torus_grid(n, twist) if surface == "torus"
-                        else _klein_grid(n))
     by_coord = {rc: v for v, rc in coord.items()}
-    quads = [tuple(by_coord[grid_coord[g]] for g in q) for q in grid]
-    return surface, n, twist, quads
+    quads = [tuple(by_coord[divmod(g, n)] for g in q)
+             for q in _quotient_faces("4^4", surface, n, twist)]
+    return surface, n, twist, rows, quads
 
 
 def _grid_slots(m: PolyhedralMap, quads) -> list[int]:
@@ -336,10 +317,10 @@ def subdivide_layer_diagonals(m: PolyhedralMap) -> PolyhedralMap:
     the three-row Klein series one vertex row never touches a single
     layer, so the output there is a valid map but not semi-equivelar.
     """
-    surface, _n, _twist, quads = _grid_info(m)
+    surface, _n, _twist, rows, quads = _grid_info(m)
     # layer 0 of the torus grid; on the Klein grid the row flip splices
     # layers 0 and 2 into one band of 2n quads, and layer 1 is the band of n
-    rows, layer = (2, 0) if surface == "torus" else (3, 1)
+    layer = 0 if surface == "torus" else 1
     faces = []
     for face, k in zip(m.faces, _grid_slots(m, quads)):
         if k % rows != layer:
@@ -362,7 +343,7 @@ def subdivide_alternate_diagonals(m: PolyhedralMap) -> PolyhedralMap:
     why the figure for this series carries a twist of -4.  The three-row
     Klein grid has an odd quad cycle along each column; no pattern exists.
     """
-    surface, n, twist, quads = _grid_info(m)
+    surface, n, twist, rows, quads = _grid_info(m)
     if surface != "torus":
         raise ParityError(
             "three stacked quad layers admit no alternating pattern")
@@ -375,12 +356,11 @@ def subdivide_alternate_diagonals(m: PolyhedralMap) -> PolyhedralMap:
     _grid_slots(m, quads)
     faces = []
     for k, (p, q, r, s) in enumerate(quads):
-        # quad k sits in column k // 2, even k in the lower layer; lower
-        # quads split at odd columns, upper at even, as drawn
-        lower, column = k % 2 == 0, k // 2
-        if lower and column % 2:
+        # lower-layer quads split at odd columns, upper at even, as drawn
+        column, layer = divmod(k, rows)
+        if layer == 0 and column % 2:
             faces += [(p, q, s), (q, r, s)]
-        elif not lower and not column % 2:
+        elif layer == 1 and not column % 2:
             faces += [(p, q, r), (p, r, s)]
         else:
             faces.append((p, q, r, s))
@@ -397,7 +377,7 @@ def subdivide_to_3636(m: PolyhedralMap) -> PolyhedralMap:
     per surface (rows on the torus, columns on the Klein bottle with an
     even column count).
     """
-    surface, n, _twist, quads = _grid_info(m)
+    surface, n, _twist, rows, quads = _grid_info(m)
     slots = _grid_slots(m, quads)
     torus = surface == "torus"
     # the classes agree across cross edges and differ across carrier edges:
@@ -407,7 +387,7 @@ def subdivide_to_3636(m: PolyhedralMap) -> PolyhedralMap:
     if not torus and n % 2:
         raise ParityError("no carrier direction admits an alternating "
                           "center/edge quad coloring")
-    classes = [k % 2 if torus else k // 3 % 2 for k in slots]
+    classes = [(k % rows if torus else k // rows) % 2 for k in slots]
     # the first stored face is a center quad
     coloring = [c ^ classes[0] for c in classes]
     carriers = {edge_key(*e) for p, q, r, s in quads
@@ -419,7 +399,7 @@ def subdivide_to_3636(m: PolyhedralMap) -> PolyhedralMap:
     # orient each quad (c1L, c2L, c2R, c1R): carrier edges (c1L,c2L),(c1R,c2R)
     oriented = [f if carrier(f[0], f[1]) else f[1:] + f[:1] for f in m.faces]
 
-    fresh = iter(range(10 ** 9))
+    fresh = count()
     ov: dict[tuple[tuple[int, int], int], int] = {}
     # carrier edges of each vertex, for the crossing pairs
     vertex_carriers: dict[int, list[tuple[int, int]]] = {}
@@ -484,7 +464,7 @@ def build_3464_from_312sq(m: PolyhedralMap) -> PolyhedralMap:
         raise NotTruncation("input must be a semi-equivelar (3,12,12) map")
     tri_edges = {e for f in m.faces if len(f) == 3 for e in face_edges(f)}
 
-    fresh = iter(range(m.n_vertices, 10 ** 9))
+    fresh = count(m.n_vertices)
     faces = [tuple(f) for f in m.faces if len(f) == 3]
     # (face index of a 12-gon, its vertex) -> the inner ring vertex under it
     under: dict[tuple[int, int], int] = {}

@@ -25,6 +25,7 @@ from sematlas.core import (
     FaceSeqType,
     PolyhedralMap,
     euler_characteristic,
+    grid_coords,
     is_orientable,
     is_semi_equivelar,
     surface_id,
@@ -70,6 +71,51 @@ class TestSeries:
                 assert t is not None and len(set(t.sizes)) == 1
                 assert surface_id(m).name == (
                     "torus" if surf == "torus" else "klein_bottle")
+
+    def test_quotients_beyond_the_pinned_range(self):
+        # GRID_SHA256 pins n = 3..16 and torus twists -7..7 only
+        from sematlas.constructions import _grid_info, _grid_slots
+        for n in (17, 30, 61):
+            for fam, sizes in (("3^6", (3,) * 6), ("4^4", (4,) * 4),
+                               ("6^3", (6,) * 3)):
+                for surf in ("torus", "klein_bottle"):
+                    m = series(fam, surf, n)
+                    assert is_semi_equivelar(m) == FaceSeqType(sizes)
+                    assert surface_id(m).name == surf
+                    coords = grid_coords(m)
+                    # the 6^3 Klein series, a dual, is the one without coords
+                    if (fam, surf) == ("6^3", "klein_bottle"):
+                        assert coords is None
+                        continue
+                    assert len(set(coords.values())) == m.n_vertices
+                    if fam != "4^4":
+                        continue
+                    _surface, _n, _twist, rows, quads = _grid_info(m)
+                    assert _grid_slots(m, quads) == list(range(len(quads)))
+                    for k, quad in enumerate(quads):
+                        (pr, pc), (qr, qc), (rr, rc), (sr, sc) = (
+                            coords[v] for v in quad)
+                        # quad k in layer k % R of column k // R; p-q and
+                        # s-r step one column on, along a row that only
+                        # the Klein wrap reflects
+                        assert (pr, pc) == (k % rows, k // rows)
+                        assert qc == (pc + 1) % n and rc == (sc + 1) % n
+                        flip = surf == "klein_bottle" and pc == n - 1
+                        assert qr == (-pr if flip else pr) % rows
+                        assert rr == (-sr if flip else sr) % rows
+        pairs = 0
+        for fam in ("3^6", "4^4"):
+            for n in range(3, 20):
+                for t in range(-12, 12):
+                    faces = []
+                    for twist in (t, t + n):
+                        try:
+                            faces.append(series(fam, "torus", n, twist).faces)
+                        except ParamOutOfRange:
+                            faces.append(None)
+                    assert faces[0] == faces[1], (fam, n, t)
+                    pairs += 1
+        assert pairs == 816
 
     def test_param_errors(self):
         with pytest.raises(ParamOutOfRange):
