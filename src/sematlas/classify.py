@@ -20,11 +20,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import NamedTuple, Optional, Sequence
 
-from .core import (PolyhedralMap, canonical_face, edge_key, euler_characteristic,
-                   flag_walk)
+from .core import (PolyhedralMap, _Frozen, canonical_face, edge_key,
+                   euler_characteristic, flag_walk)
 
 
-class Isomorphism:
+class Isomorphism(_Frozen):
     """A vertex bijection sending the face set of one map onto another's.
     Immutable; ``iso[v]`` is the image of vertex v."""
 
@@ -32,26 +32,6 @@ class Isomorphism:
 
     def __init__(self, mapping: tuple[int, ...]):
         object.__setattr__(self, "mapping", mapping)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.mapping == other.mapping
-
-    def __hash__(self) -> int:
-        return hash((self.mapping,))
-
-    def __repr__(self) -> str:
-        return f"Isomorphism(mapping={self.mapping!r})"
-
-    def __reduce__(self):
-        return self.__class__, (self.mapping,)
 
     def __getitem__(self, v: int) -> int:
         return self.mapping[v]

@@ -400,54 +400,41 @@ def subdivide_to_3636(m: PolyhedralMap) -> PolyhedralMap:
     oriented = [f if carrier(f[0], f[1]) else f[1:] + f[:1] for f in m.faces]
 
     fresh = count()
-    ov: dict[tuple[tuple[int, int], int], int] = {}
-    # carrier edges of each vertex, for the crossing pairs
-    vertex_carriers: dict[int, list[tuple[int, int]]] = {}
-    for e in m.edges:
-        if carrier(*e):
-            for p in e:
-                ov[(e, p)] = next(fresh)
-                vertex_carriers.setdefault(p, []).append(e)
+    # (carrier edge, endpoint) -> its overlay vertex
+    ov = {(e, p): next(fresh) for e in m.edges if carrier(*e) for p in e}
     # center quad index -> crossing vertex; cross edge -> crossing vertex
     bq = {qi: next(fresh) for qi in range(m.n_faces) if coloring[qi] == 0}
     bh = {e: next(fresh) for e in m.edges
           if not carrier(*e) and coloring[m.edge_faces(*e)[0]] == 1}
 
     faces = []
+    # (quad index, vertex) -> the overlay vertex of the quad's carrier there
+    at: dict[tuple[int, int], int] = {}
     for qi, (c1l, c2l, c2r, c1r) in enumerate(oriented):
         el, er = edge_key(c1l, c2l), edge_key(c1r, c2r)
+        for p, e in ((c1l, el), (c2l, el), (c2r, er), (c1r, er)):
+            at[qi, p] = ov[e, p]
         if coloring[qi] == 0:
-            bb = bq[qi]
-            faces.append((ov[(el, c1l)], ov[(el, c2l)], bb))
-            faces.append((ov[(er, c1r)], ov[(er, c2r)], bb))
+            faces.append((at[qi, c1l], at[qi, c2l], bq[qi]))
+            faces.append((at[qi, c1r], at[qi, c2r], bq[qi]))
         else:
             eb, et = edge_key(c1l, c1r), edge_key(c2l, c2r)
-            faces.append((ov[(el, c1l)], ov[(el, c2l)], bh[et],
-                          ov[(er, c2r)], ov[(er, c1r)], bh[eb]))
+            faces.append((at[qi, c1l], at[qi, c2l], bh[et],
+                          at[qi, c2r], at[qi, c1r], bh[eb]))
+    # the two quads across a cross edge meet p's two carrier edges, whose
+    # overlay vertices at p were numbered in edge order
     for e, crossing in bh.items():
+        fa, fb = m.edge_faces(*e)
         for p in e:
-            e1, e2 = vertex_carriers[p]
-            faces.append((ov[(e1, p)], ov[(e2, p)], crossing))
+            faces.append((*sorted((at[fa, p], at[fb, p])), crossing))
     for (u, v) in m.edges:
         if carrier(u, v):
             continue
         fa, fb = m.edge_faces(u, v)
         if coloring[fa] != 0:
             continue
-        hexagon = []
-        for p in (u, v):
-            e1, e2 = vertex_carriers[p]
-            q1, q2 = m.edge_faces(*e1), m.edge_faces(*e2)
-            # order the pair so the hexagon runs e(in fa), e(in fb), B(fb)...
-            if fa in q1 and fb in q2:
-                ea, eb_ = e1, e2
-            else:
-                ea, eb_ = e2, e1
-            if p == u:
-                hexagon += [ov[(ea, p)], ov[(eb_, p)], bq[fb]]
-            else:
-                hexagon += [ov[(eb_, p)], ov[(ea, p)], bq[fa]]
-        faces.append(tuple(hexagon))
+        faces.append((at[fa, u], at[fb, u], bq[fb],
+                      at[fb, v], at[fa, v], bq[fa]))
 
     # every fresh label lands in a face (validate rejects one that does
     # not), so the next one is the vertex count

@@ -10,6 +10,7 @@ and the whole complex is connected.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -91,7 +92,39 @@ def face_edges(face: Sequence[int]) -> list[tuple[int, int]]:
     return [edge_key(face[i], face[(i + 1) % k]) for i in range(k)]
 
 
-class FaceSeqType:
+class _Frozen:
+    """An immutable value over its ``__slots__``: compared, hashed, shown and
+    pickled as the tuple of its slots' values.  A subclass sets its slots
+    in ``__init__`` through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, k) for k in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class FaceSeqType(_Frozen):
     """A cyclic sequence of face sizes around a vertex, e.g. (3,3,3,4,4).
 
     Stored normalized: lexicographically least over all rotations and
@@ -107,26 +140,6 @@ class FaceSeqType:
         if any(s < 3 for s in sizes):
             raise ValueError(f"face sizes must be >= 3, got {sizes}")
         object.__setattr__(self, "sizes", canonical_face(sizes))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.sizes == other.sizes
-
-    def __hash__(self) -> int:
-        return hash((self.sizes,))
-
-    def __repr__(self) -> str:
-        return f"FaceSeqType(sizes={self.sizes!r})"
-
-    def __reduce__(self):
-        return self.__class__, (self.sizes,)
 
     @classmethod
     def parse(cls, text: str) -> "FaceSeqType":
@@ -179,12 +192,13 @@ class FlagTable(NamedTuple):
 
     A flag is a mutually incident (vertex, edge, face) triple.  Flag
     ``4*e + 2*d + s`` lies on edge ``edges[e]``, at its endpoint ``d`` (0 is
-    the smaller label), in face ``edge_faces(*edges[e])[s]``.  So s0 (other
-    vertex, same edge and face) is ``x ^ 2`` and s2 (other face, same vertex
-    and edge) is ``x ^ 1``; only s1 (other edge, same vertex and face) is
-    stored.  ``vertex`` and ``face`` give each flag's vertex and face index,
-    and ``start[v]`` is v's flag in its first face on the edge from the
-    vertex before v in that face's cycle.
+    the smaller label), in the edge's face ``s`` (0 is the smaller index),
+    so ``edge_faces`` reads an edge's faces here.  s0 (other vertex, same
+    edge and face) is ``x ^ 2`` and s2 (other face, same vertex and edge)
+    is ``x ^ 1``; only s1 (other edge, same vertex and face) is stored.
+    ``vertex`` and ``face`` give each flag's vertex and face index, and
+    ``start[v]`` is v's flag in its first face on the edge from the vertex
+    before v in that face's cycle.
     """
 
     s1: tuple[int, ...]
@@ -207,8 +221,6 @@ class PolyhedralMap:
         self.n_vertices = int(n_vertices)
         self.faces = faces
         self.tags = dict(tags) if tags else {}
-        self._edge_faces: dict[tuple[int, int], list[int]] = {}
-        self._vertex_faces: list[list[int]] = []
         self._validate()
 
     # -- validation -------------------------------------------------------
@@ -240,7 +252,6 @@ class PolyhedralMap:
         for fi, face in enumerate(self.faces):
             for v in face:
                 vertex_faces[v].append(fi)
-        self._vertex_faces = vertex_faces
 
         # pairwise intersection: empty, one vertex, or one shared edge
         face_sets = [frozenset(f) for f in self.faces]
@@ -275,9 +286,9 @@ class PolyhedralMap:
             if len(fs) != 2:
                 raise EdgeDegreeViolation(
                     f"edge {e} lies in {len(fs)} face(s) {fs}, expected 2")
-        self._edge_faces = edge_faces
+        self.edges = tuple(sorted(edge_faces))
 
-        self.flags = self._flag_table()
+        self.flags = self._flag_table(edge_faces)
         for v in range(n):
             if len(vertex_faces[v]) < 3:
                 raise LinkNotSingleCycle(
@@ -294,9 +305,9 @@ class PolyhedralMap:
             missing = min(set(range(n)) - reached)
             raise Disconnected(f"vertex {missing} unreachable from vertex 0")
 
-    def _flag_table(self) -> FlagTable:
-        """Number the flags as ``FlagTable`` describes and pair them by s1."""
-        edge_faces = self._edge_faces
+    def _flag_table(self, edge_faces) -> FlagTable:
+        """Number the flags as ``FlagTable`` describes and pair them by s1;
+        ``edge_faces`` gives each edge's two faces, the lesser index first."""
         edge_index = {e: i for i, e in enumerate(self.edges)}
         n_flags = 4 * len(edge_index)
         s1 = [0] * n_flags
@@ -337,13 +348,9 @@ class PolyhedralMap:
 
     # -- derived data ------------------------------------------------------
 
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self._edge_faces))
-
     @property
     def n_edges(self) -> int:
-        return len(self._edge_faces)
+        return len(self.edges)
 
     @property
     def n_faces(self) -> int:
@@ -353,18 +360,24 @@ class PolyhedralMap:
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbour tuples of the 1-skeleton."""
         nbrs: list[set[int]] = [set() for _ in range(self.n_vertices)]
-        for u, w in self._edge_faces:
+        for u, w in self.edges:
             nbrs[u].add(w)
             nbrs[w].add(u)
         return tuple(tuple(sorted(s)) for s in nbrs)
 
     def edge_faces(self, u: int, v: int) -> tuple[int, int]:
-        """Indices of the two faces containing edge {u, v}."""
-        fs = self._edge_faces[edge_key(u, v)]
-        return (fs[0], fs[1])
+        """Indices of the two faces containing edge {u, v}, ascending: the
+        faces of its flags ``4*e`` and ``4*e + 1``.  KeyError on a non-edge."""
+        key = edge_key(u, v)
+        e = bisect_left(self.edges, key)
+        if e == len(self.edges) or self.edges[e] != key:
+            raise KeyError(key)
+        face = self.flags.face
+        return (face[4 * e], face[4 * e + 1])
 
     def vertex_faces(self, v: int) -> tuple[int, ...]:
-        return tuple(self._vertex_faces[v])
+        """Indices of the faces containing ``v``, ascending."""
+        return tuple(sorted(self.fan(v)))
 
     def fan(self, v: int) -> tuple[int, ...]:
         """Face indices around ``v`` in fan order (one of the two senses)."""

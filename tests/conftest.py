@@ -20,6 +20,12 @@ K_1_10_FACES = [
     (0, 1, 2, 3), (0, 6, 7, 1), (2, 8, 5, 3), (6, 4, 9, 7), (9, 8, 5, 4),
 ]
 
+# the 6-vertex real projective plane (the hemi-icosahedron): chi = 1
+RP2_FACES = [
+    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+    (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3),
+]
+
 
 @pytest.fixture(scope="session")
 def tetrahedron():
@@ -34,6 +40,11 @@ def t_1_10():
 @pytest.fixture(scope="session")
 def k_1_10():
     return validate(K_1_10_FACES, 10)
+
+
+@pytest.fixture(scope="session")
+def rp2():
+    return validate(RP2_FACES, 6)
 
 
 @pytest.fixture(scope="session")

@@ -237,6 +237,10 @@ class TestSystole:
         with pytest.raises(NotFlat):
             homological_systole(tetrahedron)
 
+    def test_projective_plane_rejected(self, rp2):
+        with pytest.raises(NotFlat):
+            homological_systole(rp2)
+
     def test_matches_brute_force_on_small_fixtures(self, atlas):
         for fid, m in sorted(atlas.items()):
             if m.n_vertices <= 14:

@@ -38,11 +38,18 @@ def test_validate_ok(capsys):
     assert code == 0 and out.startswith("OK")
 
 
-def test_validate_rejects(tmp_path, capsys):
-    bad = tmp_path / "pillow.map"
-    bad.write_text("semmap 1\nvertices 3\nface 0 1 2\nface 0 2 1\n")
-    code, out, _ = run(capsys, "validate", str(bad))
-    assert code == 1 and "FaceIntersectionViolation" in out
+@pytest.mark.parametrize("command, text, witness", [
+    ("validate", "semmap 1\nvertices 3\nface 0 1 2\nface 0 2 1\n",
+     "FaceIntersectionViolation"),
+    ("validate", "# tag: {bad\nsemmap 1\nvertices 4\nface 0 1 2\nface 0 1 3\n"
+     "face 0 2 3\nface 1 2 3\n", "SemmapFormatError: bad tag comment"),
+    ("invariants", "semmap 1\nvertices 3\nface 0 1 2\n", "EdgeDegreeViolation"),
+], ids=["pillow", "bad-tag", "edge-in-one-face"])
+def test_validate_rejects(tmp_path, capsys, command, text, witness):
+    bad = tmp_path / "bad.map"
+    bad.write_text(text)
+    code, out, _ = run(capsys, command, str(bad))
+    assert code == 1 and out.startswith(f"INVALID: {witness}")
 
 
 def test_validate_missing_file(capsys):
@@ -67,6 +74,18 @@ def test_invariants_sphere(tmp_path, capsys):
     code, out, _ = run(capsys, "invariants", p.as_posix())
     assert code == 0
     assert "sphere" in out and "euler characteristic 2" in out
+
+
+def test_projective_plane_has_no_systole_and_no_cover(tmp_path, capsys, rp2):
+    p = tmp_path / "rp2.map"
+    semmap.save(rp2, p)
+    code, out, _ = run(capsys, "invariants", str(p))
+    assert code == 0
+    assert "other(chi=1, non-orientable)" in out
+    assert "homological systole None" in out.splitlines()
+    code, out, err = run(capsys, "cover", str(p))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: NotFlat")
 
 
 def test_iso(capsys):
@@ -351,6 +370,7 @@ def test_classify_usage_error(capsys):
     ["enumerate", "--type", "+3,3_0,3,4,4", "--n", "10"],
     ["enumerate", "--type", "\u0663,\u0663,\u0663,\u0664,\u0664", "--n", "10"],
     ["enumerate", "--type", "3,3,3,4,4", "--n", "-4"],
+    ["enumerate", "--type", "3,3,3,4,4", "--n", "2"],
     ["classify", "--max-vertices", "10", "--types", "3,x"],
     ["classify", "--max-vertices", "10", "--types", "3,3"],
     ["classify", "--max-vertices", "10", "--jobs", "0"],

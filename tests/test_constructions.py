@@ -1,7 +1,7 @@
 import pytest
 
 from sematlas import semmap
-from sematlas.classify import find_isomorphism, is_vertex_transitive
+from sematlas.classify import NotFlat, find_isomorphism, is_vertex_transitive
 from sematlas.constructions import (
     AlreadyOrientable,
     NoConsistentDiagonalization,
@@ -296,6 +296,19 @@ class TestExpansion:
         assert is_semi_equivelar(out) == FaceSeqType((3, 4, 6, 4))
         assert euler_characteristic(out) == 0
 
+    def test_12gons_stored_from_a_12_12_edge(self):
+        # truncation starts each 12-gon at a triangle edge; rotated by one,
+        # each starts at an edge between two 12-gons and the build rotates
+        tr = truncate(series("6^3", "torus", 7))
+        turned = PolyhedralMap(tr.n_vertices, [f[1:] + f[:1] if len(f) == 12 else f
+                                               for f in tr.faces])
+        a, b = build_3464_from_312sq(tr), build_3464_from_312sq(turned)
+        for out in (a, b):
+            assert out.n_vertices == 168
+            assert is_semi_equivelar(out) == FaceSeqType((3, 4, 6, 4))
+        assert semmap.serialize(a) != semmap.serialize(b)
+        assert find_isomorphism(a, b) is not None
+
     def test_klein_variant(self):
         tr = truncate(series("6^3", "klein", 3))
         out = build_3464_from_312sq(tr)
@@ -337,6 +350,10 @@ class TestDoubleCover:
     def test_orientable_rejected(self, t_1_10):
         with pytest.raises(AlreadyOrientable):
             double_cover(t_1_10)
+
+    def test_projective_plane_rejected(self, rp2):
+        with pytest.raises(NotFlat):
+            double_cover(rp2)
 
     def test_projection_is_local_isomorphism(self, atlas):
         base = atlas["K_1_18__3-4-6-4"]

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -81,10 +82,11 @@ class TestInvariants:
         assert is_orientable(t_1_10)
         assert not is_orientable(k_1_10)
 
-    def test_surface_id(self, tetrahedron, t_1_10, k_1_10):
+    def test_surface_id(self, tetrahedron, t_1_10, k_1_10, rp2):
         assert surface_id(tetrahedron).name == "sphere"
         assert surface_id(t_1_10).name == "torus"
         assert surface_id(k_1_10).name == "klein_bottle"
+        assert surface_id(rp2).name == "other(chi=1, non-orientable)"
 
     def test_handshake(self, atlas):
         for m in atlas.values():
@@ -133,6 +135,29 @@ class TestFlagTable:
             for v in range(m.n_vertices):
                 assert vertex[start[v]] == v and face[start[v]] == m.vertex_faces(v)[0]
 
+    def test_edge_and_vertex_faces_match_the_face_list(self, atlas):
+        # the incidences recomputed from ``m.faces`` alone, not the flags
+        for fid, stored in sorted(atlas.items()):
+            for m in (stored, pickle.loads(pickle.dumps(stored))):
+                n = m.n_vertices
+                holding: dict[frozenset, list[int]] = {}
+                for fi, face in enumerate(m.faces):
+                    for i in range(len(face)):
+                        pair = frozenset((face[i - 1], face[i]))
+                        holding.setdefault(pair, []).append(fi)
+                for u in range(n):
+                    for w in range(u + 1, n):
+                        fs = holding.get(frozenset((u, w)))
+                        if fs is None:
+                            with pytest.raises(KeyError):
+                                m.edge_faces(u, w)
+                            continue
+                        assert m.edge_faces(u, w) == m.edge_faces(w, u) == tuple(fs)
+                        assert len(fs) == 2 and fs[0] < fs[1], fid
+                for v in range(n):
+                    want = tuple(fi for fi, f in enumerate(m.faces) if v in f)
+                    assert m.vertex_faces(v) == want, fid
+
     def test_fan_and_link_walk_one_rotation(self, t_1_10):
         for v in range(t_1_10.n_vertices):
             fan, link = t_1_10.fan(v), t_1_10.link(v)
@@ -143,6 +168,13 @@ class TestFlagTable:
                 face = t_1_10.faces[fi]
                 k = face.index(v)
                 assert {face[k - 1], face[(k + 1) % len(face)]} == corner
+
+
+def test_relabel_and_face_sequence_refuse_bad_arguments(t_1_10):
+    with pytest.raises(ValueError):
+        t_1_10.relabel([0] * 10)
+    with pytest.raises(ValueError):
+        face_sequence(t_1_10, t_1_10.n_vertices)
 
 
 class TestFaceSeqType:

@@ -68,6 +68,7 @@ def test_tags_round_trip():
     "semmap 1\nvertices 4\nface +0 1 2\nface 0 1 3\nface 0 2 3\nface 1 2 3\n",
     # a sign is no digit, so this is a format error, not a bad label
     "semmap 1\nvertices 4\nface -1 0 2\nface 0 1 3\nface 0 2 3\nface 1 2 3\n",
+    "# tag: {bad\n" + GOOD,
 ])
 def test_format_errors(text):
     with pytest.raises(semmap.SemmapFormatError):
