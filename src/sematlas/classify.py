@@ -9,8 +9,11 @@ costs one paired walk per candidate start flag.  Orientation-reversing
 correspondences arise automatically because all flags on both sides of an
 edge are tried.
 
-``canonical_form``'s union-find classes are automorphism orbits on the
-flags, and ``is_vertex_transitive`` reads the winning start flag's orbit.
+``canonical_form``'s search pairs every two walks with equal
+serializations, so it prunes on every automorphism it finds; its
+union-find classes are automorphism orbits on the flags, and
+``is_vertex_transitive`` reads the winning start flag's orbit.  Each map
+keeps the search's result, so the two on one map search once.
 ``homological_systole`` gives each edge a GF(2) cohomology label from a
 tree and cotree, and reads the systole off one breadth-first search per root.
 """
@@ -112,7 +115,7 @@ def find_isomorphism(a: PolyhedralMap, b: PolyhedralMap,
     return None
 
 
-def _least_walk(m: PolyhedralMap) -> tuple[bytes, tuple[int, ...], list[int]]:
+def _least_walk(m: PolyhedralMap) -> tuple[bytes, tuple[int, ...], tuple[int, ...]]:
     """The least serialization over the start flags, its relabeling, and
     the winning start flag's orbit under the automorphism group.
 
@@ -120,18 +123,31 @@ def _least_walk(m: PolyhedralMap) -> tuple[bytes, tuple[int, ...], list[int]]:
     vertices in first-visit order, and keeps the first lexicographically
     least of the resulting canonical serializations.  Two walks with the
     same serialization differ by an automorphism, which carries one walk
-    onto the other flag by flag; their flags are paired in a union-find,
-    and a start flag whose class already holds a walked flag is skipped,
-    since its serialization equals that earlier flag's.  Every flag with
-    the least serialization is paired with the winning start flag, so its
-    class is its orbit under Aut, which acts freely: |Aut| flags.
+    onto the other flag by flag.  Each walk is paired with the first
+    earlier walk that gave its serialization, its flags joined to that
+    walk's in a union-find, and a start flag whose class already holds a
+    walked flag is skipped, since its serialization equals that earlier
+    flag's (McKay's pruning on every automorphism found).  A walk is thus
+    its orbit's first or at least doubles the group of automorphisms
+    found: at most (flag orbits) + log2 |Aut| walks.  It holds one walk
+    per flag orbit until it returns.  Every flag with the least
+    serialization is paired with the winning start flag, so its class is
+    its orbit under Aut, which acts freely: |Aut| flags.
 
     A walk's serialization is the vertex count, then the relabelled faces
     in ``canonical_face``'s normal form, sorted, one line each.  Faces
     have distinct vertices, so each normal form takes one pass; the
     labels' byte tokens and the header are encoded once per map, and
     each walk only joins them.
+
+    The result is kept on the map, like its cached properties, so
+    ``canonical_form`` and ``is_vertex_transitive`` on one map search
+    once.  It is keyed on the map object, not on map equality: an equal
+    map with its faces in another order numbers its flags differently.
     """
+    kept = m.__dict__.get("_least_walk")
+    if kept is not None:
+        return kept
     parent = list(range(len(m.flags.s1)))
     walked = bytearray(len(parent))  # per class root: holds a walked flag
 
@@ -143,9 +159,7 @@ def _least_walk(m: PolyhedralMap) -> tuple[bytes, tuple[int, ...], list[int]]:
 
     token = [str(v).encode() for v in range(m.n_vertices)]
     header = str(m.n_vertices).encode() + b"\n"
-    best: Optional[bytes] = None
-    best_perm: Optional[tuple[int, ...]] = None
-    best_walk: list[int] = []
+    first: dict[bytes, tuple[list[int], tuple[int, ...]]] = {}
     for start in range(len(parent)):
         r = root(start)
         if walked[r]:
@@ -156,16 +170,20 @@ def _least_walk(m: PolyhedralMap) -> tuple[bytes, tuple[int, ...], list[int]]:
         faces = sorted([canonical_face([perm[v] for v in f]) for f in m.faces])
         blob = header + b"\n".join(
             [b" ".join([token[v] for v in face]) for face in faces])
-        if best is None or blob < best:
-            best, best_perm, best_walk = blob, perm, walk
-        elif blob == best:
-            for x, y in zip(walk, best_walk):
-                rx, ry = root(x), root(y)
-                if rx != ry:
-                    parent[rx] = ry
-                    walked[ry] |= walked[rx]
+        if blob not in first:
+            first[blob] = (walk, perm)
+            continue
+        for x, y in zip(walk, first[blob][0]):
+            rx, ry = root(x), root(y)
+            if rx != ry:
+                parent[rx] = ry
+                walked[ry] |= walked[rx]
+    best = min(first)
+    best_walk, best_perm = first[best]
     winner = root(best_walk[0])
-    return best, best_perm, [x for x in range(len(parent)) if root(x) == winner]
+    orbit = tuple(x for x in range(len(parent)) if root(x) == winner)
+    kept = m.__dict__["_least_walk"] = (best, best_perm, orbit)
+    return kept
 
 
 def canonical_form(m: PolyhedralMap) -> CanonicalForm:

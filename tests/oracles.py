@@ -10,6 +10,7 @@ from sematlas.classify import (
     CanonicalForm,
     IntPolynomial,
     NotFlat,
+    _traversal_labels,
     find_isomorphism,
 )
 from sematlas.enumeration import _embeddings, _Searcher
@@ -220,6 +221,48 @@ def counting_merged(frags, a, b, size, far, t):
     if len(flat) + len(out) > len(t) or flat.count(size) > t.count(size):
         return False
     return out
+
+
+def reference_least_walk(m: PolyhedralMap) -> tuple[bytes, tuple[int, ...], list[int]]:
+    """``classify._least_walk`` as it was when a walk was paired only with
+    the best walk so far, when their serializations were equal: a walk
+    that an earlier walk beats pairs with nothing.  The winner's class is
+    still its Aut-orbit, so the form, the relabeling and the orbit are the
+    ones to match."""
+    parent = list(range(len(m.flags.s1)))
+    walked = bytearray(len(parent))  # per class root: holds a walked flag
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    token = [str(v).encode() for v in range(m.n_vertices)]
+    header = str(m.n_vertices).encode() + b"\n"
+    best: Optional[bytes] = None
+    best_perm: Optional[tuple[int, ...]] = None
+    best_walk: list[int] = []
+    for start in range(len(parent)):
+        r = root(start)
+        if walked[r]:
+            continue
+        walked[r] = 1
+        walk = list(flag_walk(m, start))
+        perm = _traversal_labels(m, walk)
+        faces = sorted([canonical_face([perm[v] for v in f]) for f in m.faces])
+        blob = header + b"\n".join(
+            [b" ".join([token[v] for v in face]) for face in faces])
+        if best is None or blob < best:
+            best, best_perm, best_walk = blob, perm, walk
+        elif blob == best:
+            for x, y in zip(walk, best_walk):
+                rx, ry = root(x), root(y)
+                if rx != ry:
+                    parent[rx] = ry
+                    walked[ry] |= walked[rx]
+    winner = root(best_walk[0])
+    return best, best_perm, [x for x in range(len(parent)) if root(x) == winner]
 
 
 def placeable_run_sets(t: tuple[int, ...]) -> set[tuple[tuple[int, ...], ...]]:

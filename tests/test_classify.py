@@ -1,10 +1,11 @@
 import ast
+import pickle
 import random
 from pathlib import Path
 
 import pytest
 
-from sematlas import classify
+from sematlas import classify, semmap
 from sematlas.classify import (
     CohomologyInvariantError,
     NotFlat,
@@ -28,6 +29,7 @@ from oracles import (
     gauss_determinant,
     pinned_is_vertex_transitive,
     reduction_systole,
+    reference_least_walk,
 )
 
 
@@ -142,10 +144,15 @@ class TestCanonicalForm:
         for each in with_relabelings(oracle_maps, 12):
             assert canonical_form(each) == exhaustive_canonical_form(each)
 
-    def test_walks_one_start_flag_per_orbit(self, monkeypatch):
-        # the 60-vertex 4^4 torus grid has 480 flags in few orbits
-        m = equivelar_series(SeriesParams("4^4", "torus", 30))
-        assert len(m.flags.s1) == 480
+    def test_matches_the_best_only_pairing(self, oracle_maps):
+        # pairing each walk with the first walk of its serialization keeps
+        # the form, relabeling and orbit of pairing it with the best only
+        for each in with_relabelings(oracle_maps, 18):
+            form, relabeling, orbit = reference_least_walk(each)
+            assert classify._least_walk(each) == (form, relabeling, tuple(orbit))
+
+    @staticmethod
+    def counting_walks(monkeypatch) -> list:
         walks = []
 
         def counting_walk(m, start):
@@ -153,8 +160,44 @@ class TestCanonicalForm:
             return flag_walk(m, start)
 
         monkeypatch.setattr(classify, "flag_walk", counting_walk)
+        return walks
+
+    def test_walks_one_start_flag_per_orbit(self, monkeypatch):
+        # the 60-vertex 4^4 torus grid has 480 flags in 4 orbits
+        m = equivelar_series(SeriesParams("4^4", "torus", 30))
+        assert len(m.flags.s1) == 480
+        walks = self.counting_walks(monkeypatch)
         canonical_form(m)
-        assert len(walks) <= 16
+        assert len(walks) <= 7
+
+    def test_prunes_on_every_automorphism_found(self, monkeypatch):
+        # the truncated grid is not vertex-transitive: walks from other
+        # orbits than the winner's pair up too
+        m = truncate(equivelar_series(SeriesParams("4^4", "torus", 7)))
+        assert (m.n_vertices, len(m.flags.s1)) == (56, 336)
+        walks = self.counting_walks(monkeypatch)
+        canonical_form(m)
+        assert len(walks) <= 14
+
+    def test_the_search_is_kept_per_map(self, monkeypatch):
+        m = truncate(equivelar_series(SeriesParams("4^4", "torus", 7)))
+        twin = truncate(equivelar_series(SeriesParams("4^4", "torus", 7)))
+        digest = hash(m)
+        unsearched = pickle.dumps(m)
+        walks = self.counting_walks(monkeypatch)
+        want = canonical_form(m)
+        searched = len(walks)
+        assert not is_vertex_transitive(m)
+        assert canonical_form(m) == want
+        assert len(walks) == searched
+        # the kept result changes neither equality nor hash
+        assert m == twin and twin == m and hash(m) == digest == hash(twin)
+        perm = list(range(m.n_vertices))
+        random.Random(19).shuffle(perm)
+        for other in (m.relabel(perm), semmap.parse(semmap.serialize(m)),
+                      pickle.loads(pickle.dumps(m)), pickle.loads(unsearched)):
+            assert canonical_form(other).form == want.form
+            assert not is_vertex_transitive(other)
 
     def test_equality_iff_isomorphic_on_small_fixtures(self, atlas):
         small = sorted(k for k, m in atlas.items() if m.n_vertices <= 14)
