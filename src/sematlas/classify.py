@@ -104,7 +104,7 @@ def find_isomorphism(a: PolyhedralMap, b: PolyhedralMap,
         vert_b = b.flags.vertex
         candidates = [x for x in range(len(vert_b)) if vert_b[x] == v]
     # the side-0 flag at u on the edge to its least neighbour
-    w = a.adjacency[u][0]
+    w = min(a.link(u))
     start_a = 4 * bisect_left(a.edges, edge_key(u, w)) + 2 * (u > w)
     _, vert_a, face_a, _ = a.flags
     steps_a = [(vert_a[x], len(a.faces[face_a[x]])) for x in flag_walk(a, start_a)]
@@ -140,7 +140,7 @@ def _least_walk(m: PolyhedralMap) -> tuple[bytes, tuple[int, ...], tuple[int, ..
     labels' byte tokens and the header are encoded once per map, and
     each walk only joins them.
 
-    The result is kept on the map, like its cached properties, so
+    The result is kept on the map, like its cached ``face_keys``, so
     ``canonical_form`` and ``is_vertex_transitive`` on one map search
     once.  It is keyed on the map object, not on map equality: an equal
     map with its faces in another order numbers its flags differently.
@@ -294,7 +294,7 @@ def adjacency_matrix(m: PolyhedralMap) -> list[list[int]]:
 
 
 def edge_graph_char_poly(m: PolyhedralMap) -> IntPolynomial:
-    """Characteristic polynomial of the 1-skeleton's adjacency matrix."""
+    """Characteristic polynomial of the 1-skeleton, ``adjacency_matrix(m)``."""
     return charpoly(adjacency_matrix(m))
 
 

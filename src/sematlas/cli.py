@@ -54,11 +54,18 @@ def _write_text(path, text):
         Path(path).write_text(text, encoding="utf-8")
 
 
-def cmd_validate(args) -> int:
+def _load_or_report(path):
+    """The map at ``path``, or None once its ``INVALID:`` line is printed."""
     try:
-        m = semmap.load(args.path)
+        return semmap.load(path)
     except (InvalidMapError, semmap.SemmapFormatError) as exc:
         print(f"INVALID: {type(exc).__name__}: {exc}")
+        return None
+
+
+def cmd_validate(args) -> int:
+    m = _load_or_report(args.path)
+    if m is None:
         return 1
     print(f"OK: {m.n_vertices} vertices, {m.n_edges} edges, {m.n_faces} faces")
     return 0
@@ -92,10 +99,8 @@ def _invariant_report(m) -> dict:
 
 
 def cmd_invariants(args) -> int:
-    try:
-        m = semmap.load(args.path)
-    except (InvalidMapError, semmap.SemmapFormatError) as exc:
-        print(f"INVALID: {type(exc).__name__}: {exc}")
+    m = _load_or_report(args.path)
+    if m is None:
         return 1
     rep = _invariant_report(m)
     if args.json:

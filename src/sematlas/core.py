@@ -356,15 +356,6 @@ class PolyhedralMap:
     def n_faces(self) -> int:
         return len(self.faces)
 
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbour tuples of the 1-skeleton."""
-        nbrs: list[set[int]] = [set() for _ in range(self.n_vertices)]
-        for u, w in self.edges:
-            nbrs[u].add(w)
-            nbrs[w].add(u)
-        return tuple(tuple(sorted(s)) for s in nbrs)
-
     def edge_faces(self, u: int, v: int) -> tuple[int, int]:
         """Indices of the two faces containing edge {u, v}, ascending: the
         faces of its flags ``4*e`` and ``4*e + 1``.  KeyError on a non-edge."""
@@ -407,7 +398,7 @@ class PolyhedralMap:
         return tuple(out)
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return len(self._rotation(v))
 
     # -- identity ----------------------------------------------------------
 

@@ -37,6 +37,7 @@ from typing import Optional, Sequence
 from .core import (
     FaceSeqType,
     PolyhedralMap,
+    _natural,
     euler_characteristic,
     is_orientable,
     is_semi_equivelar,
@@ -604,10 +605,11 @@ class _Searcher:
 
 def _env_budget() -> Optional[int]:
     raw = os.environ.get(BUDGET_ENV)
-    # ASCII digits only: ``int`` also reads other scripts' digits
-    if raw and not (raw.isascii() and raw.isdigit()):
-        raise BadBudget(f"{BUDGET_ENV}={raw!r} is not a non-negative integer")
-    return int(raw) if raw else None
+    try:
+        return _natural(raw) if raw else None
+    except ValueError:
+        raise BadBudget(f"{BUDGET_ENV}={raw!r} is not a non-negative "
+                        "integer") from None
 
 
 def enumerate_sems(t: FaceSeqType, n: int,

@@ -18,7 +18,7 @@ import json
 from pathlib import Path
 from typing import Union
 
-from .core import PolyhedralMap, _natural, canonical_face, validate
+from .core import PolyhedralMap, _natural, validate
 
 
 class SemmapFormatError(ValueError):
@@ -78,7 +78,7 @@ def serialize(m: PolyhedralMap, comment: str = "") -> str:
         out.append("# tag: " + json.dumps(m.tags, sort_keys=True, separators=(",", ":")))
     out.append("semmap 1")
     out.append(f"vertices {m.n_vertices}")
-    for face in sorted(canonical_face(f) for f in m.faces):
+    for face in m.face_keys:
         out.append("face " + " ".join(str(v) for v in face))
     return "\n".join(out) + "\n"
 

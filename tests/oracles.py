@@ -22,6 +22,16 @@ def _gf2_reduce(vec: int, basis: list[int]) -> int:
     return vec
 
 
+def _neighbours(m: PolyhedralMap) -> list[list[int]]:
+    """Each vertex's neighbours, ascending, read off the sorted edge list
+    alone: the edges (u, x) with u < x all come before the edges (x, w)."""
+    adj: list[list[int]] = [[] for _ in range(m.n_vertices)]
+    for u, w in m.edges:
+        adj[u].append(w)
+        adj[w].append(u)
+    return adj
+
+
 def face_boundary_basis(m: PolyhedralMap) -> tuple[dict[tuple[int, int], int], list[int]]:
     """Edge-index map and a GF(2) basis of the face-boundary space, one
     E-bit integer per vector."""
@@ -49,7 +59,7 @@ def reduction_systole(m: PolyhedralMap) -> int:
     if chi != 0:
         raise NotFlat(f"map has Euler characteristic {chi}, expected 0")
     edge_index, basis = face_boundary_basis(m)
-    adj = m.adjacency
+    adj = _neighbours(m)
     n = m.n_vertices
     best: Optional[int] = None
     for root in range(n):
@@ -94,7 +104,7 @@ def brute_force_systole(m: PolyhedralMap) -> int:
     """Shortest homologically nontrivial cycle by enumerating every simple
     cycle of the 1-skeleton (pruned only at the current best length)."""
     edge_index, basis = face_boundary_basis(m)
-    adj = m.adjacency
+    adj = _neighbours(m)
     best = [m.n_edges + 1]
 
     def walk(start, path, vec):

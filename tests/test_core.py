@@ -3,6 +3,9 @@ import random
 
 import pytest
 
+from conftest import T_1_10_FACES
+from sematlas import semmap
+from sematlas.classify import canonical_form, find_isomorphism
 from sematlas.core import (
     BadLabel,
     Disconnected,
@@ -168,6 +171,23 @@ class TestFlagTable:
                 face = t_1_10.faces[fi]
                 k = face.index(v)
                 assert {face[k - 1], face[(k + 1) % len(face)]} == corner
+
+
+def test_a_map_keeps_one_incidence_index():
+    # a fresh map, since a session fixture may carry another test's caches;
+    # neighbour queries read the flag table, and nothing else is cached
+    # beside the identity keys and the least-walk result
+    m = validate(T_1_10_FACES, 10)
+    other = m.relabel(random.Random(3).sample(range(10), 10))
+    assert {m.degree(v) for v in range(10)} == {5}
+    assert find_isomorphism(m, other) is not None
+    assert semmap.parse(semmap.serialize(m)) == m
+    assert canonical_form(m).form == canonical_form(other).form
+    twin = validate(T_1_10_FACES, 10)
+    assert m == twin and hash(m) == hash(twin) and m != other
+    kept = {"n_vertices", "faces", "tags", "edges", "flags", "face_keys", "_least_walk"}
+    for each in (m, other, twin):
+        assert set(vars(each)) <= kept
 
 
 def test_relabel_and_face_sequence_refuse_bad_arguments(t_1_10):
