@@ -11,8 +11,10 @@ from .core import (
     FaceTooSmall,
     InvalidMapError,
     LinkNotSingleCycle,
+    NotFlat,
     PolyhedralMap,
     RepeatedVertexInFace,
+    SematlasError,
     SurfaceId,
     euler_characteristic,
     face_sequence,
@@ -25,7 +27,6 @@ from .classify import (
     CanonicalForm,
     IntPolynomial,
     Isomorphism,
-    NotFlat,
     canonical_form,
     edge_graph_char_poly,
     find_isomorphism,

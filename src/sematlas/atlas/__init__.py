@@ -12,11 +12,11 @@ import json
 from pathlib import Path
 from typing import NamedTuple
 
-from ..core import FaceSeqType, PolyhedralMap
+from ..core import FaceSeqType, PolyhedralMap, SematlasError
 from .. import semmap
 
 
-class UnknownFixture(KeyError):
+class UnknownFixture(SematlasError, KeyError):
     pass
 
 

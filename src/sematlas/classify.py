@@ -23,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import NamedTuple, Optional, Sequence
 
-from .core import (PolyhedralMap, _Frozen, canonical_face, edge_key,
+from .core import (NotFlat, PolyhedralMap, _Frozen, canonical_face, edge_key,
                    euler_characteristic, flag_walk)
 
 
@@ -45,10 +45,6 @@ class CanonicalForm(NamedTuple):
 
     form: bytes
     relabeling: tuple[int, ...]
-
-
-class NotFlat(ValueError):
-    """Raised where an operation requires Euler characteristic 0."""
 
 
 def _propagate(steps_a: list[tuple[int, int]], b: PolyhedralMap,

@@ -2,8 +2,9 @@
 
 Subcommands: validate, invariants, iso, enumerate, classify, construct,
 derive, cover, export, atlas.  Exit codes: 0 success, 1 domain failure
-(invalid map, nothing found), 2 usage or I/O error.  The SEM_ATLAS_BUDGET
-environment variable caps search nodes for the enumeration commands.
+(any ``core.SematlasError``, or nothing found), 2 usage or I/O error.  The
+SEM_ATLAS_BUDGET environment variable caps search nodes for the
+enumeration commands.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from pathlib import Path
 from . import semmap
 from .core import (
     FaceSeqType,
-    InvalidMapError,
+    NotFlat,
+    SematlasError,
     _natural,
     euler_characteristic,
     is_orientable,
@@ -25,7 +27,6 @@ from .core import (
     surface_id,
 )
 from .classify import (
-    NotFlat,
     edge_graph_char_poly,
     find_isomorphism,
     homological_systole,
@@ -34,9 +35,7 @@ from .classify import (
 from .enumeration import (
     ALL_FLAT_TYPES,
     BadBudget,
-    BudgetExceeded,
     ReportRow,
-    SearchTooDeep,
     classify_all,
     enumerate_sems,
     usable_cpus,
@@ -58,7 +57,7 @@ def _load_or_report(path):
     """The map at ``path``, or None once its ``INVALID:`` line is printed."""
     try:
         return semmap.load(path)
-    except (InvalidMapError, semmap.SemmapFormatError) as exc:
+    except SematlasError as exc:
         print(f"INVALID: {type(exc).__name__}: {exc}")
         return None
 
@@ -441,11 +440,7 @@ def main(argv=None) -> int:
         return _usage_error(str(exc))
     try:
         return args.func(args)
-    except (InvalidMapError, semmap.SemmapFormatError, NotFlat, BudgetExceeded,
-            SearchTooDeep,
-            cons.ParamOutOfRange, cons.NotGridMap, cons.ParityError,
-            cons.NoConsistentDiagonalization, cons.AlreadyOrientable,
-            cons.NotTruncation, SvgUnsupported) as exc:
+    except SematlasError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (OSError, BadBudget) as exc:

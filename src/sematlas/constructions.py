@@ -21,10 +21,11 @@ from collections import Counter
 from itertools import count
 from typing import NamedTuple, Optional
 
-from .classify import NotFlat
 from .core import (
     FaceSeqType,
+    NotFlat,
     PolyhedralMap,
+    SematlasError,
     canonical_face,
     cyclic_equal,
     edge_key,
@@ -38,27 +39,27 @@ from .core import (
 )
 
 
-class ParamOutOfRange(ValueError):
+class ParamOutOfRange(SematlasError, ValueError):
     pass
 
 
-class NotGridMap(ValueError):
+class NotGridMap(SematlasError, ValueError):
     """The operation needs a generator-tagged grid map."""
 
 
-class ParityError(ValueError):
+class ParityError(SematlasError, ValueError):
     """The grid admits no closed alternating pattern."""
 
 
-class NoConsistentDiagonalization(ValueError):
+class NoConsistentDiagonalization(SematlasError, ValueError):
     pass
 
 
-class AlreadyOrientable(ValueError):
+class AlreadyOrientable(SematlasError, ValueError):
     """The orientation double cover of an orientable map is disconnected."""
 
 
-class NotTruncation(ValueError):
+class NotTruncation(SematlasError, ValueError):
     """The operation needs a map of type (3,12,12)."""
 
 

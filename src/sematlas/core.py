@@ -15,7 +15,14 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 
-class InvalidMapError(ValueError):
+class SematlasError(Exception):
+    """A domain failure: bad input for the operation asked, reported by the
+    command line as one ``error:`` line and exit 1.  Every such class
+    derives from it; each keeps its older base (``ValueError``,
+    ``RuntimeError``, ``KeyError``) as a second one."""
+
+
+class InvalidMapError(SematlasError, ValueError):
     """Some polyhedral-map condition fails; str() names the witness."""
 
 
@@ -290,9 +297,6 @@ class PolyhedralMap:
 
         self.flags = self._flag_table(edge_faces)
         for v in range(n):
-            if len(vertex_faces[v]) < 3:
-                raise LinkNotSingleCycle(
-                    f"vertex {v} lies in only {len(vertex_faces[v])} face(s)")
             if len(self._rotation(v)) != len(vertex_faces[v]):
                 raise LinkNotSingleCycle(
                     f"faces at vertex {v} split into more than one fan")
@@ -526,6 +530,10 @@ def is_semi_equivelar(m: PolyhedralMap) -> Optional[FaceSeqType]:
 
 def euler_characteristic(m: PolyhedralMap) -> int:
     return m.n_vertices - m.n_edges + m.n_faces
+
+
+class NotFlat(SematlasError, ValueError):
+    """Raised where an operation requires Euler characteristic 0."""
 
 
 def is_orientable(m: PolyhedralMap) -> bool:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from collections import deque
 from functools import lru_cache, partial
 from itertools import product
 from typing import Optional, Sequence
@@ -37,6 +38,7 @@ from typing import Optional, Sequence
 from .core import (
     FaceSeqType,
     PolyhedralMap,
+    SematlasError,
     _natural,
     euler_characteristic,
     is_orientable,
@@ -59,13 +61,18 @@ ALL_FLAT_TYPES = (
 )
 
 
-class BudgetExceeded(RuntimeError):
+class BudgetExceeded(SematlasError, RuntimeError):
     """Search node budget ran out before the cell was exhausted."""
 
 
-class SearchTooDeep(RuntimeError):
+class SearchTooDeep(SematlasError, RuntimeError):
     """The search recursed past the interpreter's limit: it recurses once
     per committed face, so a cell of about a thousand faces is out of reach."""
+
+
+class WorkerDied(SematlasError, RuntimeError):
+    """A census worker process ended (killed, say, by the out-of-memory
+    killer) before it returned its cell's row."""
 
 
 class BadBudget(ValueError):
@@ -721,7 +728,8 @@ def classify_all(n_max: int, types: Optional[Sequence[FaceSeqType]] = None,
     searches them in a pool of ``jobs`` processes, capped at the usable
     CPUs (``usable_cpus``) and at the cells; where the cap leaves one, no
     process starts.  The rows, and the error a failing cell raises (the
-    first in census order), are the same either way.
+    first in census order), are the same either way; a worker process
+    that dies raises ``WorkerDied``.
     """
     gates = {t: min_vertices_gate(t, n_max)
              for t in (types if types is not None else ALL_FLAT_TYPES)}
@@ -732,15 +740,48 @@ def classify_all(n_max: int, types: Optional[Sequence[FaceSeqType]] = None,
     procs = min(jobs, usable_cpus())
     # each range is sliced before ``len``, which overflows past sys.maxsize
     procs = min(procs, sum(len(ns[:procs]) for ns in gates.values()))
-    if procs > 1:
-        import multiprocessing  # here, not at the top: the import costs start-up time
-
-        # ``imap`` draws the cells lazily (its feeder thread waits while
-        # the workers' pipe is full) and yields the rows in census order,
-        # so a failure is the one that one process raises
-        with multiprocessing.Pool(procs) as pool:
-            rows += pool.imap(row, cells)
-    else:
-        rows += map(row, cells)
+    rows += _pool_rows(row, cells, procs) if procs > 1 else map(row, cells)
     rows.sort(key=lambda r: (r.type.sizes, r.n))
+    return rows
+
+
+#: cells submitted per worker ahead of the oldest row not yet returned
+_AHEAD = 4
+
+
+def _pool_rows(row, cells, procs: int) -> list[ReportRow]:
+    """``list(map(row, cells))`` in a pool of ``procs`` worker processes.
+
+    The cells are drawn lazily, at most ``_AHEAD`` per worker ahead of the
+    oldest row not yet returned, and the rows are read in census order, so
+    the error raised is that of the first failing cell in census order.
+    On an error the cells not yet started are cancelled; those running
+    finish first.  A worker that dies mid-cell breaks the pool, which
+    stops the other workers; that raises ``WorkerDied``, naming the first
+    cell left without its row."""
+    # here, not at the top: the import costs start-up time
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    rows, pending = [], deque()
+
+    def collect(keep: int) -> None:
+        while len(pending) > keep:
+            rows.append(pending[0][1].result())
+            pending.popleft()
+
+    with ProcessPoolExecutor(procs) as pool:
+        try:
+            for cell in cells:
+                pending.append((cell, pool.submit(row, cell)))
+                collect(_AHEAD * procs - 1)
+            collect(0)
+        except BrokenProcessPool:
+            # the dead worker's cell is pending, so ``pending`` is not empty
+            t, n = pending[0][0]
+            raise WorkerDied(f"cell {t}, n = {n}: a worker process died "
+                             "before the cell's row was returned") from None
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     return rows

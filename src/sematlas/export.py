@@ -3,7 +3,7 @@ generator-tagged grid maps."""
 
 from __future__ import annotations
 
-from .core import PolyhedralMap, grid_coords
+from .core import PolyhedralMap, SematlasError, grid_coords
 
 
 #: grid spacing of the SVG drawing, in pixels
@@ -20,7 +20,7 @@ def to_dot(m: PolyhedralMap) -> str:
     return "\n".join(lines) + "\n"
 
 
-class SvgUnsupported(ValueError):
+class SvgUnsupported(SematlasError, ValueError):
     """SVG layout needs well-formed generator grid tags."""
 
 

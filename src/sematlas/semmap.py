@@ -18,10 +18,10 @@ import json
 from pathlib import Path
 from typing import Union
 
-from .core import PolyhedralMap, _natural, validate
+from .core import PolyhedralMap, SematlasError, _natural, validate
 
 
-class SemmapFormatError(ValueError):
+class SemmapFormatError(SematlasError, ValueError):
     pass
 
 

@@ -1,13 +1,15 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
 import pytest
 
-from sematlas import enumeration, semmap
+from sematlas import cli, enumeration, semmap
 from sematlas.cli import build_parser, main
 from sematlas.constructions import (
     NotGridMap,
@@ -17,7 +19,7 @@ from sematlas.constructions import (
     subdivide_layer_diagonals,
     subdivide_to_3636,
 )
-from sematlas.core import PolyhedralMap, is_orientable
+from sematlas.core import PolyhedralMap, SematlasError, is_orientable
 from sematlas.export import SvgUnsupported, to_svg
 from sematlas.enumeration import SearchInvariantError
 from sematlas.atlas import _data_root
@@ -337,6 +339,57 @@ def test_hostile_max_vertices_stops_at_the_budget(jobs):
     assert code == 1 and out == "" and len(err.splitlines()) == 1
     assert err.startswith("error: BudgetExceeded: exceeded 10 search nodes "
                           "in cell (3,3,3,4,4), n = 10;")
+
+
+def test_a_dying_census_worker_is_one_error_line(tmp_path):
+    """A census worker process that dies mid-cell, as under the
+    out-of-memory killer, ends the census with one ``WorkerDied`` line and
+    exit 1, not a hang.  Run as a subprocess, so a hang fails on its
+    timeout; the worker searching n = 10 of two workers' census exits its
+    process, so the first cell without a row is n = 8 or n = 10."""
+    script = tmp_path / "census.py"
+    script.write_text(textwrap.dedent("""
+        import os, sys
+        from sematlas import cli, enumeration
+
+        cell_row = enumeration._cell_row
+
+        def dying_row(cell, budget):
+            if cell[1] == 10:
+                os._exit(1)
+            return cell_row(cell, budget)
+
+        if __name__ == "__main__":
+            enumeration.usable_cpus = lambda: 2
+            enumeration._cell_row = dying_row
+            sys.exit(cli.main(["classify", "--max-vertices", "14",
+                               "--types", "3,3,3,4,4", "--jobs", "2"]))
+        """))
+    src = Path(enumeration.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    env.pop("SEM_ATLAS_BUDGET", None)
+    done = subprocess.run([sys.executable, str(script)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1 and done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert re.fullmatch(r"error: WorkerDied: cell \(3,3,3,4,4\), n = (8|10): "
+                        r"a worker process died before the cell's row was "
+                        r"returned\n", done.stderr), done.stderr
+
+
+def test_any_sematlas_error_is_one_error_line(capsys, monkeypatch):
+    """The command line reports every ``SematlasError`` as one ``error:``
+    line and exit 1, also one of a class that it never names."""
+    class FreshFailure(SematlasError):
+        pass
+
+    def fail(args):
+        raise FreshFailure("a domain failure of a new kind")
+
+    monkeypatch.setattr(cli, "cmd_validate", fail)
+    assert run(capsys, "validate", "any.map") == (
+        1, "", "error: FreshFailure: a domain failure of a new kind\n")
 
 
 @pytest.mark.parametrize("raw", ["abc", "-1", "1.5", "\u0664"])

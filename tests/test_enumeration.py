@@ -1,3 +1,4 @@
+import concurrent.futures
 import gc
 import hashlib
 import multiprocessing
@@ -712,12 +713,13 @@ class TestClassifyAll:
     @pytest.fixture
     def requested(self, monkeypatch):
         """The worker counts that ``classify_all`` asks pools for.  Each
-        pool is a fake that maps in this process, so no process starts."""
+        pool is a fake that runs every submitted cell in this process, so
+        no process starts."""
         requested = []
 
         class FakePool:
-            def __init__(self, processes):
-                requested.append(processes)
+            def __init__(self, max_workers):
+                requested.append(max_workers)
 
             def __enter__(self):
                 return self
@@ -725,10 +727,18 @@ class TestClassifyAll:
             def __exit__(self, *exc):
                 return False
 
-            def imap(self, func, iterable):
-                return map(func, iterable)
+            def submit(self, func, *args):
+                future = concurrent.futures.Future()
+                try:
+                    future.set_result(func(*args))
+                except Exception as exc:
+                    future.set_exception(exc)
+                return future
 
-        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         return requested
 
     @staticmethod

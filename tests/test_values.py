@@ -1,8 +1,10 @@
 """The value types: equality, hashing, immutability, pickling and reprs;
-and what ``import sematlas`` loads."""
+what ``import sematlas`` loads; and which errors are domain failures."""
 
+import importlib
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,10 +13,11 @@ import pytest
 
 import sematlas
 from sematlas.atlas import FixtureEntry
-from sematlas.classify import CanonicalForm, IntPolynomial, Isomorphism
+from sematlas.classify import (CanonicalForm, CohomologyInvariantError,
+                               IntPolynomial, Isomorphism)
 from sematlas.constructions import ParamOutOfRange, SeriesParams
-from sematlas.core import FaceSeqType, SurfaceId
-from sematlas.enumeration import ReportRow
+from sematlas.core import FaceSeqType, SematlasError, SurfaceId
+from sematlas.enumeration import BadBudget, ReportRow, SearchInvariantError
 
 
 def t33344():
@@ -132,3 +135,22 @@ def test_import_loads_no_heavy_stdlib_module():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
+
+
+def test_every_error_is_classified():
+    """Every exception class that a ``sematlas`` module defines is a
+    ``SematlasError``, which the command line reports as one ``error:``
+    line and exit 1, or one of three kept apart on purpose: ``BadBudget``,
+    a usage error (exit 2), and the two defects, which keep their
+    traceback."""
+    apart = {BadBudget, SearchInvariantError, CohomologyInvariantError}
+    names = [info.name for info in
+             pkgutil.walk_packages(sematlas.__path__, "sematlas.")]
+    assert {"sematlas.atlas", "sematlas.cli", "sematlas.export"} <= set(names)
+    errors = {obj for name in ["sematlas", *names]
+              for obj in vars(importlib.import_module(name)).values()
+              if isinstance(obj, type) and issubclass(obj, BaseException)
+              and obj.__module__ == name}
+    assert apart <= errors
+    assert sorted(e.__name__ for e in errors - apart
+                  if not issubclass(e, SematlasError)) == []
